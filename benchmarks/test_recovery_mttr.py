@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import run_chaos_soak, soak_summary
+from repro.experiments.chaos import run_chaos_session
 from repro.experiments.failures import run_butterfly_failover
+from repro.soak import COMPLETE, TYPED, run_soak, summarize
 
 #: Every single-relay crash is survivable post-PR 3 — including O1,
 #: which also carries O2's reverse NACK path.
@@ -47,8 +48,8 @@ def _crash_metrics(node: str) -> dict:
 @pytest.fixture(scope="module")
 def recovery_report():
     scenarios = [_crash_metrics(node) for node in CRASH_SITES]
-    digest = soak_summary(run_chaos_soak(CHAOS_SEEDS, replay=True))
-    digest.pop("outcomes")  # per-seed detail stays in the chaos CLI's own JSON
+    # Per-seed detail stays in the soak CLI's own JSON.
+    digest = summarize(run_soak(run_chaos_session, CHAOS_SEEDS, replay=True))
     report = {"scenarios": scenarios, "chaos_digest": digest}
     Path("BENCH_recovery.json").write_text(json.dumps(report, indent=2))
     return report
@@ -83,12 +84,12 @@ def test_recovery_mttr_report(benchmark, recovery_report, table_printer):
 
 def test_chaos_digest_is_clean(recovery_report):
     digest = recovery_report["chaos_digest"]
-    assert digest["runs"] == len(CHAOS_SEEDS)
+    assert digest["seeds"] == len(CHAOS_SEEDS)
     assert not digest["violations"]
-    assert digest["completed"] + digest["degraded_typed"] == digest["runs"]
+    assert digest[COMPLETE] + digest[TYPED] == digest["seeds"]
 
 
 def test_json_artifact_written(recovery_report):
     payload = json.loads(Path("BENCH_recovery.json").read_text())
     assert {s["crash_site"] for s in payload["scenarios"]} == set(CRASH_SITES)
-    assert payload["chaos_digest"]["runs"] == len(CHAOS_SEEDS)
+    assert payload["chaos_digest"]["seeds"] == len(CHAOS_SEEDS)

@@ -23,7 +23,8 @@ from repro.fleet.churn import SessionSpec
 from repro.fleet.manager import fleet_of
 from repro.net.events import EventScheduler
 from repro.shard.controller import HEARTBEAT_INTERVAL_S, MISS_THRESHOLD, ShardController
-from repro.shard.soak import run_shard_chaos_soak, soak_summary
+from repro.shard.soak import run_shard_soak
+from repro.soak import COMPLETE, TYPED, run_soak, summarize
 
 #: 2x the PR 3 relay-crash recovery envelope (BENCH_recovery: ~0.88 s).
 MTTR_GATE_S = 1.76
@@ -32,7 +33,7 @@ MTTR_GATE_S = 1.76
 #: worst case (a full interval elapses before the silence even starts).
 CRASH_PHASES = (0.0, 0.05, 0.1, 0.15, 0.199)
 
-SOAK_SEEDS = 6  # a digest; the CI shard job runs the 20-seed CLI
+SOAK_SEEDS = 6  # a digest; the CI soak matrix runs the 20-seed CLI
 
 
 def _takeover_mttr(phase_s: float) -> dict:
@@ -70,7 +71,7 @@ def _takeover_mttr(phase_s: float) -> dict:
 @pytest.fixture(scope="module")
 def failover_report():
     sweep = [_takeover_mttr(phase) for phase in CRASH_PHASES]
-    digest = soak_summary(run_shard_chaos_soak(SOAK_SEEDS, replay=True))
+    digest = summarize(run_soak(run_shard_soak, range(SOAK_SEEDS), replay=True))
     report = {
         "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
         "miss_threshold": MISS_THRESHOLD,
@@ -115,9 +116,9 @@ def test_shard_failover_mttr_report(benchmark, failover_report, table_printer):
 def test_shard_chaos_digest_is_clean(failover_report):
     digest = failover_report["chaos_digest"]
     assert digest["seeds"] == SOAK_SEEDS
-    assert digest["incomplete_untyped"] == 0
-    assert digest["complete"] + digest["complete_with_rejections"] == digest["seeds"]
-    assert digest["controller_crashes"] > 0  # the digest exercised failover
+    assert digest["violations"] == []
+    assert digest[COMPLETE] + digest[TYPED] == digest["seeds"]
+    assert digest["totals"]["controller_crashes"] > 0  # the digest exercised failover
 
 
 def test_json_artifact_written(failover_report):

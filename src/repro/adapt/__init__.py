@@ -16,9 +16,9 @@ closes the loop the one-way NACK path leaves open:
   extra coded packets and generation size through the existing
   ``NC_SETTINGS`` signal, stamped with a fresh ``(fence, epoch)`` so it
   composes with the sharded-failover ordering.
-- :mod:`repro.adapt.soak` — the 20-seed chaos soak proving the loop
-  degrades to typed outcomes (``ADAPT_STALLED``, never a hang) with
-  bit-identical seeded replays.
+- :mod:`repro.adapt.soak` — the chaos scenario (``python -m repro.soak
+  adapt``) proving the loop degrades to typed outcomes
+  (``ADAPT_STALLED``, never a hang) with bit-identical seeded replays.
 """
 
 from repro.adapt.controller import AdaptiveRedundancyController, AdaptPolicy, AdaptState

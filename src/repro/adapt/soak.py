@@ -6,35 +6,27 @@ Each seeded run composes a random :meth:`~repro.faults.FaultPlan.random`
 schedule — chain-link flaps, relay-daemon kill/restart cycles, reporter
 crashes (the loop's own sensing process is on the fault menu, handle
 ``"reporter"``), and control-signal drops — with a live adaptive
-transfer over a hostile-link preset, and holds the loop to the same
-contract the butterfly chaos soak (:mod:`repro.experiments.chaos`)
-enforces:
-
-- **complete or degrade typed**: a run either makes healthy forward
-  progress or leaves typed evidence — applied fault records, an
-  ``ADAPT_STALLED`` transition on the controller, dropped/undeliverable
-  signal records.  A silent hang (no progress, no evidence) is a
-  contract violation and fails the sweep.
-- **replay bit-identically**: the seed fully determines the run; every
-  outcome carries a SHA-256 fingerprint over the behavioural
-  observables (decode times, counters, controller transitions, applied
-  faults) and ``--replay`` re-runs each seed and compares.
+transfer over a hostile-link preset, and holds the loop to the
+:mod:`repro.soak` contract the butterfly chaos soak
+(:mod:`repro.experiments.chaos`) also answers to — here, *complete or
+degrade typed*: a run either makes healthy forward progress or leaves
+typed evidence — applied fault records, an ``ADAPT_STALLED`` transition
+on the controller, dropped/undeliverable signal records.  A silent hang
+(no progress, no evidence) is a contract violation and fails the sweep.
+The replay fingerprint covers decode times, counters, controller
+transitions and applied faults.
 
 Killing the reporter for longer than the controller's
 ``report_timeout_s`` is precisely the starvation path: the controller
 must drop to :attr:`~repro.adapt.controller.AdaptState.ADAPT_STALLED`,
 push the static baseline, and re-enter ``TRACKING`` when reports
-resume.  ``python -m repro.adapt.soak`` is what the CI ``adapt`` job
-calls.
+resume.  ``python -m repro.soak adapt`` sweeps it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.adapt.controller import AdaptState
 from repro.experiments.scenarios import (
@@ -47,6 +39,7 @@ from repro.experiments.scenarios import (
 )
 from repro.faults import FaultPlan
 from repro.faults.injector import link_key
+from repro.soak import SoakRecord, fingerprint, outcome_of
 
 #: Signal kinds whose loss stresses the loop most: the reports it feeds
 #: on and the retunes it emits.
@@ -57,40 +50,48 @@ SIGNAL_KINDS = ("NcLinkReport", "NcSettings")
 PROGRESS_FLOOR = 0.5
 
 
-@dataclass
-class AdaptSoakOutcome:
+@dataclass(frozen=True)
+class AdaptRecord(SoakRecord):
     """One soaked adaptive session, classified."""
 
-    seed: int
-    completed: bool
-    #: "completed" or "degraded-typed"; "incomplete-untyped" is the
-    #: contract violation the sweep fails on.
-    outcome: str
-    fingerprint: str
-    decoded_generations: int = 0
-    sent_generations: int = 0
-    goodput_mbps: float = 0.0
-    stall_entries: int = 0
-    retunes_pushed: int = 0
-    reporter_restarts: int = 0
-    applied_faults: int = 0
-    dropped_signals: int = 0
-    undeliverable_signals: int = 0
-    transitions: list = dataclass_field(default_factory=list)
-    typed: bool = False
+    decoded_generations: int
+    sent_generations: int
+    goodput_mbps: float
+    stall_entries: int
+    retunes_pushed: int
+    reporter_restarts: int
+    applied_faults: int
+    dropped_signals: int
+    undeliverable_signals: int
+    transitions: tuple[tuple[float, str], ...]
 
 
-def _fingerprint(result: ScenarioResult) -> str:
-    """SHA-256 over the run's behavioural observables.
+def classify(seed: int, result: ScenarioResult) -> AdaptRecord:
+    """Fold a scenario run into the complete-or-typed contract.
 
-    Everything hashed derives from the event scheduler and the seeded
-    RNGs; bus sequence numbers (process-global) are excluded, exactly as
-    in the butterfly soak.
+    Everything fingerprinted derives from the event scheduler and the
+    seeded RNGs; bus sequence numbers (process-global) are excluded,
+    exactly as in the butterfly soak.
     """
     receiver = result.receiver
     source = result.source
-    canonical = repr(
-        (
+    reporter = result.reporter
+    progressed = (
+        result.sent_generations > 0
+        and result.decoded_generations >= PROGRESS_FLOOR * result.sent_generations
+    )
+    stalled = any(state is AdaptState.ADAPT_STALLED for _, state in result.transitions)
+    typed = bool(
+        result.applied_faults
+        or stalled
+        or result.dropped_signals
+        or result.undeliverable_signals
+    )
+    return AdaptRecord(
+        seed=seed,
+        # No progress and no evidence is the violation: a silent hang.
+        outcome=outcome_of(progressed, typed),
+        fingerprint=fingerprint(
             sorted((gen, repr(t)) for gen, t in receiver.completed.items()),
             receiver.received_packets,
             receiver.nacks_sent,
@@ -103,53 +104,24 @@ def _fingerprint(result: ScenarioResult) -> str:
             result.retunes_pushed,
             result.stall_entries,
             tuple((repr(t), state.value) for t, state in result.transitions),
-            result.reporter.reports_sent if result.reporter is not None else -1,
-            result.reporter.restarts if result.reporter is not None else -1,
+            reporter.reports_sent if reporter is not None else -1,
+            reporter.restarts if reporter is not None else -1,
             tuple((repr(t), e.kind.value, e.target) for t, e in result.applied_faults),
             result.dropped_signals,
             result.undeliverable_signals,
             result.final_extra,
             result.final_blocks,
-        )
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def classify(result: ScenarioResult) -> AdaptSoakOutcome:
-    """Fold a scenario run into the complete-or-typed contract."""
-    progressed = (
-        result.sent_generations > 0
-        and result.decoded_generations >= PROGRESS_FLOOR * result.sent_generations
-    )
-    stalled = any(state is AdaptState.ADAPT_STALLED for _, state in result.transitions)
-    typed = bool(
-        result.applied_faults
-        or stalled
-        or result.dropped_signals
-        or result.undeliverable_signals
-    )
-    if progressed:
-        outcome = "completed"
-    elif typed:
-        outcome = "degraded-typed"
-    else:
-        outcome = "incomplete-untyped"  # no progress and no evidence: a hang
-    return AdaptSoakOutcome(
-        seed=-1,
-        completed=progressed,
-        outcome=outcome,
-        fingerprint=_fingerprint(result),
+        ),
         decoded_generations=result.decoded_generations,
         sent_generations=result.sent_generations,
         goodput_mbps=result.goodput_mbps,
         stall_entries=result.stall_entries,
         retunes_pushed=result.retunes_pushed,
-        reporter_restarts=result.reporter.restarts if result.reporter is not None else 0,
+        reporter_restarts=reporter.restarts if reporter is not None else 0,
         applied_faults=len(result.applied_faults),
         dropped_signals=result.dropped_signals,
         undeliverable_signals=result.undeliverable_signals,
-        transitions=[(t, state.value) for t, state in result.transitions],
-        typed=typed,
+        transitions=tuple((t, state.value) for t, state in result.transitions),
     )
 
 
@@ -161,7 +133,7 @@ def run_adapt_session(
     max_faults: int = 4,
     max_outage_s: float = 3.0,
     plan: FaultPlan | None = None,
-) -> AdaptSoakOutcome:
+) -> AdaptRecord:
     """One seeded adaptive chaos run: random plan × hostile-link transfer.
 
     ``max_outage_s`` defaults *above* the controller's 2 s report
@@ -182,98 +154,16 @@ def run_adapt_session(
     result = run_scenario(
         preset, mode="adaptive", loss=loss, duration_s=duration_s, seed=seed, plan=plan
     )
-    outcome = classify(result)
-    outcome.seed = seed
-    return outcome
+    return classify(seed, result)
 
 
-def run_adapt_soak(seeds, replay: bool = False, **session_kwargs) -> list:
-    """Soak a seed sweep; with ``replay``, verify bit-identical reruns."""
-    outcomes = []
-    for seed in seeds:
-        outcome = run_adapt_session(seed, **session_kwargs)
-        if replay:
-            again = run_adapt_session(seed, **session_kwargs)
-            if again.fingerprint != outcome.fingerprint:
-                raise AssertionError(
-                    f"seed {seed} replay diverged: {outcome.fingerprint[:16]} != "
-                    f"{again.fingerprint[:16]}"
-                )
-        outcomes.append(outcome)
-    return outcomes
-
-
-def soak_summary(outcomes) -> dict:
-    """Aggregate a sweep into the JSON shape the CI step archives."""
-    violations = [o.seed for o in outcomes if o.outcome == "incomplete-untyped"]
-    return {
-        "runs": len(outcomes),
-        "completed": sum(1 for o in outcomes if o.completed),
-        "degraded_typed": sum(1 for o in outcomes if o.outcome == "degraded-typed"),
-        "violations": violations,
-        "total_faults_applied": sum(o.applied_faults for o in outcomes),
-        "total_stall_entries": sum(o.stall_entries for o in outcomes),
-        "total_retunes": sum(o.retunes_pushed for o in outcomes),
-        "total_reporter_restarts": sum(o.reporter_restarts for o in outcomes),
-        "outcomes": [
-            {
-                "seed": o.seed,
-                "outcome": o.outcome,
-                "decoded": o.decoded_generations,
-                "sent": o.sent_generations,
-                "goodput_mbps": o.goodput_mbps,
-                "stalls": o.stall_entries,
-                "retunes": o.retunes_pushed,
-                "faults": o.applied_faults,
-                "transitions": o.transitions,
-                "fingerprint": o.fingerprint,
-            }
-            for o in outcomes
-        ],
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Seeded chaos soak over the adaptive-redundancy loop"
-    )
-    parser.add_argument("--seeds", type=int, default=20, help="number of seeds to sweep")
-    parser.add_argument("--start", type=int, default=0, help="first seed")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset", choices=sorted(PRESETS), default=GEO_SATELLITE.name, help="scenario preset"
     )
     parser.add_argument("--loss", type=float, default=0.15, help="end-to-end burst loss rate")
     parser.add_argument("--duration", type=float, default=8.0, help="per-run sim seconds")
-    parser.add_argument(
-        "--replay", action="store_true", help="re-run each seed and compare fingerprints"
-    )
-    parser.add_argument("--json", type=str, default=None, help="write the summary JSON here")
-    args = parser.parse_args(argv)
-
-    outcomes = run_adapt_soak(
-        range(args.start, args.start + args.seeds),
-        replay=args.replay,
-        preset=PRESETS[args.preset],
-        loss=args.loss,
-        duration_s=args.duration,
-    )
-    summary = soak_summary(outcomes)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2)
-    print(
-        f"adapt soak [{args.preset}]: {summary['runs']} runs, "
-        f"{summary['completed']} completed, {summary['degraded_typed']} degraded-typed, "
-        f"{summary['total_faults_applied']} faults applied, "
-        f"{summary['total_stall_entries']} stalls, "
-        f"{summary['total_reporter_restarts']} reporter restarts"
-        + (", replay verified" if args.replay else "")
-    )
-    if summary["violations"]:
-        print(f"CONTRACT VIOLATIONS (no progress, untyped): seeds {summary['violations']}")
-        return 1
-    return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run_seed(seed: int, args: argparse.Namespace) -> AdaptRecord:
+    return run_adapt_session(seed, preset=PRESETS[args.preset], loss=args.loss, duration_s=args.duration)

@@ -250,6 +250,39 @@ def _install_control_path(topo: Topology) -> None:
                 pass  # shared hop already installed
 
 
+def deploy_relays(
+    topo: Topology,
+    session: MulticastSession,
+    rng: np.random.Generator,
+    payload_mode: str,
+    role: VnfRole = VnfRole.RECODER,
+    tables: dict | None = None,
+    hop_shapes: dict | None = None,
+    coding_mbps: float = VNF_CODING_MBPS,
+) -> dict:
+    """Swap a configured coding VNF in for every relay host.
+
+    One VNF per entry of ``tables`` (default: the max-flow NC tables),
+    built in table order off the shared ``rng``, configured for the
+    session in ``role``, then given its forwarding table and any
+    ``hop_shapes``.  Returns relay name -> VNF.
+    """
+    tables = _nc_forwarding_tables(session.session_id) if tables is None else tables
+    relays = {}
+    for name in tables:
+        vnf = CodingVnf(
+            name, topo.scheduler, coding_capacity_mbps=coding_mbps, rng=rng, payload_mode=payload_mode
+        )
+        _swap_node(topo, name, vnf)
+        vnf.configure_session(session.session_id, role, session.coding)
+        relays[name] = vnf
+    for name, table in tables.items():
+        relays[name].forwarding_table = table
+    for (relay, hop), (skip, emit) in (hop_shapes or {}).items():
+        relays[relay].set_hop_shape(session.session_id, hop, skip, emit)
+    return relays
+
+
 def run_butterfly_nc(
     duration_s: float = 3.0,
     rate_mbps: float = 70.0,
@@ -276,16 +309,14 @@ def run_butterfly_nc(
     rng = np.random.default_rng(seed)
     session = _make_session(blocks_per_generation, buffer_generations, redundancy)
 
-    relays = {}
-    for name in RELAYS:
-        vnf = CodingVnf(name, topo.scheduler, coding_capacity_mbps=vnf_coding_mbps, rng=rng, payload_mode=payload_mode)
-        _swap_node(topo, name, vnf)
-        vnf.configure_session(session.session_id, VnfRole.RECODER, session.coding)
-        relays[name] = vnf
-    for name, table in _nc_forwarding_tables(session.session_id).items():
-        relays[name].forwarding_table = table
-    for (relay, hop), (skip, emit) in _nc_hop_shapes(blocks_per_generation, redundancy.extra).items():
-        relays[relay].set_hop_shape(session.session_id, hop, skip, emit)
+    deploy_relays(
+        topo,
+        session,
+        rng,
+        payload_mode,
+        hop_shapes=_nc_hop_shapes(blocks_per_generation, redundancy.extra),
+        coding_mbps=vnf_coding_mbps,
+    )
 
     reliability = window_generations is not None
     if reliability:
@@ -369,14 +400,7 @@ def run_butterfly_non_nc(
         )
     else:
         # Flooding: the NC topology with coding switched off.
-        relays = {}
-        for name in RELAYS:
-            vnf = CodingVnf(name, topo.scheduler, coding_capacity_mbps=VNF_CODING_MBPS, rng=rng, payload_mode=payload_mode)
-            _swap_node(topo, name, vnf)
-            vnf.configure_session(session.session_id, VnfRole.FORWARDER, session.coding)
-            relays[name] = vnf
-        for name, table in _nc_forwarding_tables(session.session_id).items():
-            relays[name].forwarding_table = table
+        deploy_relays(topo, session, rng, payload_mode, role=VnfRole.FORWARDER)
         if rate_mbps is None:
             rate_mbps = LINK_MBPS  # T->V2 must carry every block once
         reliability = window_generations is not None
@@ -462,12 +486,10 @@ def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: i
     topo = build_butterfly(seed=seed)
     rng = np.random.default_rng(seed)
     session = _make_session(4, 1024, RedundancyPolicy(0))
-    role = VnfRole.RECODER if coding else VnfRole.FORWARDER
-    for name, nxt in zip(path[1:-1], path[2:]):
-        vnf = CodingVnf(name, topo.scheduler, coding_capacity_mbps=VNF_CODING_MBPS, rng=rng, payload_mode=payload_mode)
-        _swap_node(topo, name, vnf)
-        vnf.configure_session(session.session_id, role, session.coding)
-        vnf.forwarding_table = ForwardingTable({session.session_id: [nxt]})
+    chain = {name: ForwardingTable({session.session_id: [nxt]}) for name, nxt in zip(path[1:-1], path[2:])}
+    deploy_relays(
+        topo, session, rng, payload_mode, role=VnfRole.RECODER if coding else VnfRole.FORWARDER, tables=chain
+    )
 
     receiver_name = path[-1]
     receiver = NcReceiverApp(

@@ -5,40 +5,34 @@ this module is the complement — a seeded soak that composes random
 :meth:`~repro.faults.FaultPlan.random` schedules (link flaps, daemon
 kill/restart cycles, signal drops) with a complete windowed file
 transfer over the failover butterfly, self-healing enabled, and holds
-the whole stack to three contracts:
+the whole stack to the :mod:`repro.soak` contract (complete-or-typed,
+bit-identical replay), which here means:
 
 - **terminate**: every session either *completes* (all generations
   decoded at full rank at every receiver, inside the deadline) or ends
   in a *typed* outcome — named dead nodes, recorded fault applications,
   dropped/undeliverable signal records, and per-receiver decode states.
   There is no third state; a hang would show up as an incomplete run
-  with no typed evidence, and :func:`classify` treats that as a
-  violation.
-- **replay bit-identically**: a seed fully determines the run.  Each
-  outcome carries a SHA-256 fingerprint over every behaviourally
-  meaningful observable; re-running the seed must reproduce it bit for
-  bit.
+  with no typed evidence, which is the violation.
 - **degrade, don't deadlock**: NACK retries are capped with exponential
   backoff and recovery re-plans are LP-feasibility-checked, so even
   adversarial schedules (a forwarding-table push eaten by a signal
   drop, a false death verdict from dropped heartbeats) converge.
 
-``python -m repro.experiments.chaos`` runs a seed sweep (optionally
-with replay verification) and is what the CI ``chaos-soak`` step calls.
+``python -m repro.soak session`` sweeps it; ``--impairments`` is the CI
+dirty-wire cell.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.experiments.butterfly import BUTTERFLY_LINKS, RELAYS
-from repro.experiments.failures import FailoverResult, run_butterfly_failover
+from repro.experiments.failures import run_butterfly_failover
 from repro.faults import FaultPlan
 from repro.faults.injector import link_key
+from repro.soak import SoakRecord, fingerprint, outcome_of
 
 #: Fault-plan pools: every data link (flappable), every relay daemon
 #: (killable), and the signal kinds whose loss stresses recovery most —
@@ -49,102 +43,23 @@ DAEMONS = tuple(RELAYS)
 SIGNAL_KINDS = ("NcHeartbeat", "NcForwardTab")
 
 
-@dataclass
-class ChaosOutcome:
+@dataclass(frozen=True)
+class ChaosRecord(SoakRecord):
     """One soaked session, classified."""
 
-    seed: int
-    completed: bool
-    #: "completed" or "degraded-typed" — never anything else for a
-    #: contract-respecting run.
-    outcome: str
-    fingerprint: str
     total_generations: int
+    deadline_s: float
     #: receiver -> generations fully decoded.
-    decoded: dict = dataclass_field(default_factory=dict)
-    #: last generation-completion time across receivers (None if no
-    #: generation completed at all).
-    finished_at: float | None = None
-    deadline_s: float = 0.0
-    dead_nodes: list = dataclass_field(default_factory=list)
-    applied_faults: int = 0
-    dropped_signals: int = 0
-    undeliverable_signals: int = 0
-    nacks_sent: int = 0
-    repair_packets: int = 0
-    #: typed evidence present (faults applied / deaths / drops)?
-    typed: bool = False
-
-
-def _fingerprint(result: FailoverResult, total_generations: int) -> str:
-    """SHA-256 over every behaviourally meaningful observable.
-
-    Bus sequence numbers are process-global (itertools counter) and are
-    deliberately excluded; everything hashed here is derived from the
-    event scheduler and the seeded RNGs alone.
-    """
-    receivers = {}
-    for name, app in sorted(result.receivers.items()):
-        receivers[name] = (
-            sorted((gen, repr(t)) for gen, t in app.completed.items()),
-            app.received_packets,
-            app.redundant_packets,
-            app.nacks_sent,
-        )
-    canonical = repr(
-        (
-            receivers,
-            result.source.sent_generations,
-            result.source.sent_packets,
-            result.source.repair_packets,
-            repr(result.detected_at),
-            tuple(result.dead_nodes),
-            tuple((repr(t), e.kind.value, e.target) for t, e in result.applied_faults),
-            result.undeliverable_signals,
-            len(result.bus.dropped),
-            total_generations,
-        )
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def classify(result: FailoverResult, total_generations: int, deadline_s: float) -> ChaosOutcome:
-    """Fold a raw failover result into the soak's outcome contract."""
-    decoded = {name: len(app.completed) for name, app in result.receivers.items()}
-    completed = all(count == total_generations for count in decoded.values())
-    finish_times = [
-        max(app.completed.values()) for app in result.receivers.values() if app.completed
-    ]
-    finished_at = max(finish_times) if completed and finish_times else None
-    typed = bool(
-        result.applied_faults
-        or result.dead_nodes
-        or result.bus.dropped
-        or result.undeliverable_signals
-    )
-    if completed:
-        outcome = "completed"
-    elif typed:
-        outcome = "degraded-typed"
-    else:
-        outcome = "incomplete-untyped"  # contract violation: no evidence, no finish
-    return ChaosOutcome(
-        seed=-1,
-        completed=completed,
-        outcome=outcome,
-        fingerprint=_fingerprint(result, total_generations),
-        total_generations=total_generations,
-        decoded=decoded,
-        finished_at=finished_at,
-        deadline_s=0.0,
-        dead_nodes=list(result.dead_nodes),
-        applied_faults=len(result.applied_faults),
-        dropped_signals=len(result.bus.dropped),
-        undeliverable_signals=result.undeliverable_signals,
-        nacks_sent=sum(app.nacks_sent for app in result.receivers.values()),
-        repair_packets=result.source.repair_packets,
-        typed=typed,
-    )
+    decoded: dict[str, int]
+    #: last generation-completion time across receivers (None unless
+    #: every generation completed everywhere).
+    finished_at: float | None
+    dead_nodes: tuple[str, ...]
+    applied_faults: int
+    dropped_signals: int
+    undeliverable_signals: int
+    nacks_sent: int
+    repair_packets: int
 
 
 def run_chaos_session(
@@ -159,12 +74,12 @@ def run_chaos_session(
     relay_repair: bool = True,
     plan: FaultPlan | None = None,
     impairments: bool = False,
-) -> ChaosOutcome:
+) -> ChaosRecord:
     """One seeded chaos run: random survivable plan × live transfer.
 
     ``impairments`` extends the fault menu with dirty-wire faults
     (bit-flip corruption, duplication, blackholes) on top of the clean
-    loss/crash/signal menu — the CI dirty-seed batch sets it.
+    loss/crash/signal menu — the CI dirty-wire cell sets it.
     """
     if plan is None:
         plan = FaultPlan.random(
@@ -187,68 +102,60 @@ def run_chaos_session(
         total_generations=total_generations,
         seed=seed,
     )
-    outcome = classify(result, total_generations, deadline_s)
-    outcome.seed = seed
-    outcome.deadline_s = deadline_s
-    return outcome
-
-
-def run_chaos_soak(
-    seeds,
-    replay: bool = False,
-    **session_kwargs,
-) -> list:
-    """Soak a seed sweep; with ``replay``, verify bit-identical reruns.
-
-    Raises ``AssertionError`` on a replay divergence — that is the
-    determinism contract failing, not a degraded-but-legal outcome.
-    """
-    outcomes = []
-    for seed in seeds:
-        outcome = run_chaos_session(seed, **session_kwargs)
-        if replay:
-            again = run_chaos_session(seed, **session_kwargs)
-            if again.fingerprint != outcome.fingerprint:
-                raise AssertionError(
-                    f"seed {seed} replay diverged: {outcome.fingerprint[:16]} != "
-                    f"{again.fingerprint[:16]}"
-                )
-        outcomes.append(outcome)
-    return outcomes
-
-
-def soak_summary(outcomes) -> dict:
-    """Aggregate a sweep into the JSON shape the CI step archives."""
-    violations = [o.seed for o in outcomes if o.outcome == "incomplete-untyped"]
-    return {
-        "runs": len(outcomes),
-        "completed": sum(1 for o in outcomes if o.completed),
-        "degraded_typed": sum(1 for o in outcomes if o.outcome == "degraded-typed"),
-        "violations": violations,
-        "total_faults_applied": sum(o.applied_faults for o in outcomes),
-        "total_dead_nodes": sum(len(o.dead_nodes) for o in outcomes),
-        "total_nacks": sum(o.nacks_sent for o in outcomes),
-        "total_repair_packets": sum(o.repair_packets for o in outcomes),
-        "outcomes": [
-            {
-                "seed": o.seed,
-                "outcome": o.outcome,
-                "decoded": o.decoded,
-                "finished_at": o.finished_at,
-                "dead_nodes": o.dead_nodes,
-                "faults": o.applied_faults,
-                "fingerprint": o.fingerprint,
-            }
-            for o in outcomes
-        ],
+    decoded = {name: len(app.completed) for name, app in result.receivers.items()}
+    completed = all(count == total_generations for count in decoded.values())
+    finish_times = [
+        max(app.completed.values()) for app in result.receivers.values() if app.completed
+    ]
+    typed = bool(
+        result.applied_faults
+        or result.dead_nodes
+        or result.bus.dropped
+        or result.undeliverable_signals
+    )
+    # Fingerprinted: every behaviourally meaningful observable.  Bus
+    # sequence numbers are process-global (itertools counter) and are
+    # deliberately excluded; everything hashed here is derived from the
+    # event scheduler and the seeded RNGs alone.
+    receivers = {
+        name: (
+            sorted((gen, repr(t)) for gen, t in app.completed.items()),
+            app.received_packets,
+            app.redundant_packets,
+            app.nacks_sent,
+        )
+        for name, app in sorted(result.receivers.items())
     }
+    return ChaosRecord(
+        seed=seed,
+        # Neither finished nor typed is the violation: no evidence, no finish.
+        outcome=outcome_of(completed, typed),
+        fingerprint=fingerprint(
+            receivers,
+            result.source.sent_generations,
+            result.source.sent_packets,
+            result.source.repair_packets,
+            repr(result.detected_at),
+            tuple(result.dead_nodes),
+            tuple((repr(t), e.kind.value, e.target) for t, e in result.applied_faults),
+            result.undeliverable_signals,
+            len(result.bus.dropped),
+            total_generations,
+        ),
+        total_generations=total_generations,
+        deadline_s=deadline_s,
+        decoded=decoded,
+        finished_at=max(finish_times) if completed and finish_times else None,
+        dead_nodes=tuple(result.dead_nodes),
+        applied_faults=len(result.applied_faults),
+        dropped_signals=len(result.bus.dropped),
+        undeliverable_signals=result.undeliverable_signals,
+        nacks_sent=sum(app.nacks_sent for app in result.receivers.values()),
+        repair_packets=result.source.repair_packets,
+    )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Seeded chaos soak over the failover butterfly")
-    parser.add_argument("--seeds", type=int, default=50, help="number of seeds to sweep")
-    parser.add_argument("--start", type=int, default=0, help="first seed")
-    parser.add_argument("--replay", action="store_true", help="re-run each seed and compare fingerprints")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generations", type=int, default=48, help="generations per transfer")
     parser.add_argument("--deadline", type=float, default=6.0, help="per-run deadline (sim seconds)")
     parser.add_argument(
@@ -256,32 +163,12 @@ def main(argv=None) -> int:
         action="store_true",
         help="add dirty-wire faults (corruption, duplication, blackholes) to the menu",
     )
-    parser.add_argument("--json", type=str, default=None, help="write the summary JSON here")
-    args = parser.parse_args(argv)
 
-    outcomes = run_chaos_soak(
-        range(args.start, args.start + args.seeds),
-        replay=args.replay,
+
+def run_seed(seed: int, args: argparse.Namespace) -> ChaosRecord:
+    return run_chaos_session(
+        seed,
         total_generations=args.generations,
         deadline_s=args.deadline,
         impairments=args.impairments,
     )
-    summary = soak_summary(outcomes)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2)
-    print(
-        f"chaos soak: {summary['runs']} runs, {summary['completed']} completed, "
-        f"{summary['degraded_typed']} degraded-typed, "
-        f"{summary['total_faults_applied']} faults applied, "
-        f"{summary['total_dead_nodes']} death verdicts"
-        + (", replay verified" if args.replay else "")
-    )
-    if summary["violations"]:
-        print(f"CONTRACT VIOLATIONS (incomplete, untyped): seeds {summary['violations']}")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

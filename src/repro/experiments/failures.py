@@ -44,7 +44,6 @@ from repro.core.daemon import VnfDaemon
 from repro.core.healing import RecoveryPlan, plan_recovery
 from repro.core.scaling import ScalingEngine
 from repro.core.signals import NcForwardTab, NcHeartbeat, NcSettings, Signal, SignalBus
-from repro.core.vnf import CodingVnf, VnfRole
 from repro.experiments.butterfly import (
     CONTROL_PATHS,
     LINK_MBPS,
@@ -53,12 +52,11 @@ from repro.experiments.butterfly import (
     SOURCE,
     VNF_CODING_MBPS,
     _make_session,
-    _nc_forwarding_tables,
     _nc_hop_shapes,
     _nc_source_shares,
-    _swap_node,
     build_butterfly,
     butterfly_graph,
+    deploy_relays,
 )
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.net.events import PeriodicEvent
@@ -171,18 +169,8 @@ def run_butterfly_failover(
     session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
     bus = SignalBus(topo.scheduler, latency_s=bus_latency_s)
 
-    relays = {}
-    for name in RELAYS:
-        vnf = CodingVnf(
-            name, topo.scheduler, coding_capacity_mbps=VNF_CODING_MBPS, rng=rng, payload_mode=payload_mode
-        )
-        _swap_node(topo, name, vnf)
-        vnf.configure_session(session.session_id, VnfRole.RECODER, session.coding)
-        relays[name] = vnf
-    for name, table in _nc_forwarding_tables(session.session_id).items():
-        relays[name].forwarding_table = table
-    for (relay, hop), (skip, emit) in _nc_hop_shapes(blocks_per_generation, 0).items():
-        relays[relay].set_hop_shape(session.session_id, hop, skip, emit)
+    static_shapes = _nc_hop_shapes(blocks_per_generation, 0)
+    relays = deploy_relays(topo, session, rng, payload_mode, hop_shapes=static_shapes)
 
     # Control plane: one daemon per relay, emitting heartbeats.  The
     # data plane was configured directly above, so the coding function
@@ -236,8 +224,6 @@ def run_butterfly_failover(
         window_generations=window_generations,
         total_generations=total_generations,
     )
-
-    static_shapes = _nc_hop_shapes(blocks_per_generation, 0)
 
     # Each healing replan gets a fresh config epoch (> 0, the epoch of
     # the static pre-failure config), so a pre-failure NC_FORWARD_TAB

@@ -15,14 +15,14 @@ Modules
 ``planner``   per-session delta LP (warm-startable matrix form)
 ``manager``   the fleet controller (admit / depart / replan)
 ``churn``     seeded Poisson session churn traces
-``soak``      replay-fingerprinted churn soak + CLI
+``soak``      replay-fingerprinted churn scenario (``python -m repro.soak fleet``)
 """
 
 from repro.fleet.capacity import FleetDataCenter, FleetPlan, SurplusIndex
 from repro.fleet.churn import ChurnEvent, ChurnTrace, SessionSpec
 from repro.fleet.manager import COLD, INCREMENTAL, FleetManager, fleet_of
 from repro.fleet.planner import SessionLP
-from repro.fleet.soak import FleetSoakOutcome, run_churn_soak, run_fleet_soak, soak_summary
+from repro.fleet.soak import FleetSoakRecord, run_fleet_soak
 from repro.fleet.verdict import AdmissionStatus, AdmissionVerdict
 
 __all__ = [
@@ -34,13 +34,11 @@ __all__ = [
     "FleetDataCenter",
     "FleetManager",
     "FleetPlan",
-    "FleetSoakOutcome",
+    "FleetSoakRecord",
     "INCREMENTAL",
     "SessionLP",
     "SessionSpec",
     "SurplusIndex",
     "fleet_of",
-    "run_churn_soak",
     "run_fleet_soak",
-    "soak_summary",
 ]

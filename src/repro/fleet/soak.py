@@ -1,35 +1,31 @@
 """Seeded churn soak with SHA-256 replay fingerprints.
 
-Mirrors :mod:`repro.experiments.chaos`: every soak run is summarized
-into a canonical tuple — one record per churn event (time, kind,
-session, typed outcome, achieved rate, config epoch) plus the final
-surplus-index state — and hashed.  Replaying the same seed must
-produce a bit-identical fingerprint; any divergence means a
-nondeterminism bug in the admission path, which is exactly the class
-of failure that silently corrupts fleet experiments.
+Every soak run is summarized into a canonical tuple — one record per
+churn event (time, kind, session, typed outcome, achieved rate, config
+epoch) plus the final surplus-index state — and hashed.  Replaying the
+same seed must produce a bit-identical fingerprint; any divergence
+means a nondeterminism bug in the admission path, which is exactly the
+class of failure that silently corrupts fleet experiments.
 
 The contract is *complete-or-typed*: every join ends in a typed
 verdict, every leave drains, and the fleet returns to empty when the
-trace does.  An exception or a non-empty fleet at the end is an
-``incomplete-untyped`` outcome — a contract violation the tests fail
-on, never a shrug.
-
-CLI::
-
-    python -m repro.fleet.soak --seeds 30 --replay --json fleet_soak.json
+trace does.  An exception (recorded by the :mod:`repro.soak` runner) or
+a non-empty fleet at the end is a violation the tests fail on, never a
+shrug.  ``python -m repro.soak fleet`` sweeps it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.fleet.capacity import FleetDataCenter
 from repro.fleet.churn import JOIN, ChurnTrace
 from repro.fleet.manager import INCREMENTAL, FleetManager, fleet_of
-from repro.fleet.verdict import AdmissionStatus
+from repro.fleet.verdict import AdmissionStatus, AdmissionVerdict
+from repro.soak import SoakRecord, fingerprint, outcome_of
 
 #: Spread PoPs used as default soak data centers.
 SOAK_DC_CITIES: tuple[str, ...] = (
@@ -43,16 +39,11 @@ SOAK_DC_CITIES: tuple[str, ...] = (
     "Washington",
 )
 
-COMPLETE = "complete"
-TYPED_REJECTIONS = "complete-with-rejections"
-INCOMPLETE = "incomplete-untyped"
-
 
 @dataclass(frozen=True)
-class FleetSoakOutcome:
+class FleetSoakRecord(SoakRecord):
     """One seed's soak result, summarized for aggregation and JSON."""
 
-    seed: int
     events: int
     admitted: int
     rejected_capacity: int
@@ -63,16 +54,23 @@ class FleetSoakOutcome:
     peak_sessions: int
     warm_hits: int
     lp_solves: int
-    outcome: str
-    fingerprint: str
 
 
-def _soak_manager(n_datacenters: int, mode: str) -> FleetManager:
-    cities = SOAK_DC_CITIES[: max(1, min(n_datacenters, len(SOAK_DC_CITIES)))]
-    datacenters: list[FleetDataCenter] = fleet_of(
-        cities, inbound_mbps=120.0, outbound_mbps=120.0, coding_mbps=108.0, max_vnfs=2
-    )
-    return FleetManager(datacenters, mode=mode)
+def soak_datacenters(n: int) -> list[FleetDataCenter]:
+    """The first ``n`` soak PoPs (clamped to 1..all), with tight quotas."""
+    cities = SOAK_DC_CITIES[: max(1, min(n, len(SOAK_DC_CITIES)))]
+    return fleet_of(cities, inbound_mbps=120.0, outbound_mbps=120.0, coding_mbps=108.0, max_vnfs=2)
+
+
+def admission_tally(verdicts: Iterable[AdmissionVerdict]) -> Counter[AdmissionStatus]:
+    return Counter(verdict.status for verdict in verdicts)
+
+
+def admission_outcome(tally: Counter[AdmissionStatus], trace: ChurnTrace, drained: bool) -> str:
+    """Complete-or-typed over a churn trace: one verdict per join, fleet drained."""
+    joins = sum(1 for event in trace.events if event.kind == JOIN)
+    typed = drained and sum(tally.values()) == joins
+    return outcome_of(typed and tally[AdmissionStatus.ADMITTED] == joins, typed)
 
 
 def run_fleet_soak(
@@ -83,7 +81,7 @@ def run_fleet_soak(
     arrival_rate_per_s: float = 1.5,
     mean_holding_s: float = 15.0,
     mode: str = INCREMENTAL,
-) -> FleetSoakOutcome:
+) -> FleetSoakRecord:
     """Drive one seeded churn trace through a fresh fleet manager.
 
     The delay choices include a 16 ms tier that cross-country pairs
@@ -99,132 +97,44 @@ def run_fleet_soak(
         mean_holding_s=mean_holding_s,
         delay_choices_ms=(16.0, 80.0),
     )
-    manager = _soak_manager(n_datacenters, mode)
-    digest = hashlib.sha256()
-    admitted = rejected_cap = rejected_inf = departed = peak = 0
-    try:
-        records = trace.drive(manager)
-    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-        return FleetSoakOutcome(
-            seed=seed,
-            events=len(trace.events),
-            admitted=0,
-            rejected_capacity=0,
-            rejected_infeasible=0,
-            departed=0,
-            final_sessions=-1,
-            final_vnfs=-1,
-            peak_sessions=0,
-            warm_hits=0,
-            lp_solves=0,
-            outcome=f"{INCOMPLETE}: {type(exc).__name__}: {exc}",
-            fingerprint="",
-        )
+    manager = FleetManager(soak_datacenters(n_datacenters), mode=mode)
+    records = trace.drive(manager)
+    canonical: list[tuple[str, str, int, str]] = []
     live: set[int] = set()
+    peak = 0
     for event, verdict in records:
         if verdict is None:
-            departed += 1
             live.discard(event.session_id)
-            canonical = (repr(event.time_s), event.kind, event.session_id, "departed")
+            what = "departed"
         else:
-            if verdict.status is AdmissionStatus.ADMITTED:
-                admitted += 1
+            if verdict.admitted:
                 live.add(event.session_id)
-            elif verdict.status is AdmissionStatus.REJECTED_CAPACITY:
-                rejected_cap += 1
-            else:
-                rejected_inf += 1
-            canonical = (repr(event.time_s), event.kind, event.session_id, repr(verdict.canonical()))
-        digest.update(repr(canonical).encode())
+            what = repr(verdict.canonical())
+        canonical.append((repr(event.time_s), event.kind, event.session_id, what))
         peak = max(peak, len(live))
-    digest.update(repr(manager.index.canonical()).encode())
-    digest.update(repr(manager.config_epoch).encode())
+    tally = admission_tally(verdict for _, verdict in records if verdict is not None)
     drained = manager.active_sessions == 0 and manager.index.total_vnfs == 0
-    joins = sum(1 for ev in trace.events if ev.kind == JOIN)
-    typed = admitted + rejected_cap + rejected_inf == joins
-    if drained and typed and (rejected_cap or rejected_inf):
-        outcome = TYPED_REJECTIONS
-    elif drained and typed:
-        outcome = COMPLETE
-    else:
-        outcome = INCOMPLETE
-    return FleetSoakOutcome(
+    return FleetSoakRecord(
         seed=seed,
+        outcome=admission_outcome(tally, trace, drained),
+        fingerprint=fingerprint(canonical, manager.index.canonical(), manager.config_epoch),
         events=len(trace.events),
-        admitted=admitted,
-        rejected_capacity=rejected_cap,
-        rejected_infeasible=rejected_inf,
-        departed=departed,
+        admitted=tally[AdmissionStatus.ADMITTED],
+        rejected_capacity=tally[AdmissionStatus.REJECTED_CAPACITY],
+        rejected_infeasible=tally[AdmissionStatus.REJECTED_INFEASIBLE],
+        departed=sum(1 for _, verdict in records if verdict is None),
         final_sessions=manager.active_sessions,
         final_vnfs=manager.index.total_vnfs,
         peak_sessions=peak,
         warm_hits=manager.warm_hits,
         lp_solves=manager.lp_solves,
-        outcome=outcome,
-        fingerprint=digest.hexdigest(),
     )
 
 
-def run_churn_soak(
-    seeds: int = 30,
-    *,
-    replay: bool = False,
-    mode: str = INCREMENTAL,
-    n_datacenters: int = 5,
-) -> list[FleetSoakOutcome]:
-    """Soak ``seeds`` traces; with ``replay``, verify bit-identical reruns."""
-    outcomes: list[FleetSoakOutcome] = []
-    for seed in range(seeds):
-        outcome = run_fleet_soak(seed, n_datacenters=n_datacenters, mode=mode)
-        if replay:
-            again = run_fleet_soak(seed, n_datacenters=n_datacenters, mode=mode)
-            if again.fingerprint != outcome.fingerprint:
-                raise AssertionError(
-                    f"seed {seed}: replay fingerprint diverged "
-                    f"({outcome.fingerprint[:12]}… vs {again.fingerprint[:12]}…)"
-                )
-        outcomes.append(outcome)
-    return outcomes
-
-
-def soak_summary(outcomes: list[FleetSoakOutcome]) -> dict[str, object]:
-    """Aggregate counts for reporting and the CI JSON artifact."""
-    return {
-        "seeds": len(outcomes),
-        "complete": sum(1 for o in outcomes if o.outcome == COMPLETE),
-        "complete_with_rejections": sum(1 for o in outcomes if o.outcome == TYPED_REJECTIONS),
-        "incomplete_untyped": sum(1 for o in outcomes if o.outcome.startswith(INCOMPLETE)),
-        "admitted": sum(o.admitted for o in outcomes),
-        "rejected_capacity": sum(o.rejected_capacity for o in outcomes),
-        "rejected_infeasible": sum(o.rejected_infeasible for o in outcomes),
-        "peak_sessions": max((o.peak_sessions for o in outcomes), default=0),
-        "warm_hits": sum(o.warm_hits for o in outcomes),
-        "lp_solves": sum(o.lp_solves for o in outcomes),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="fleet churn soak")
-    parser.add_argument("--seeds", type=int, default=30)
-    parser.add_argument("--replay", action="store_true", help="verify bit-identical replay")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("incremental", "cold"), default="incremental")
     parser.add_argument("--datacenters", type=int, default=5)
-    parser.add_argument("--json", type=str, default=None, help="write outcomes to this path")
-    args = parser.parse_args(argv)
-    outcomes = run_churn_soak(
-        args.seeds, replay=args.replay, mode=args.mode, n_datacenters=args.datacenters
-    )
-    summary = soak_summary(outcomes)
-    for key, value in summary.items():
-        print(f"{key}: {value}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"summary": summary, "outcomes": [asdict(o) for o in outcomes]}, fh, indent=2
-            )
-    violations = sum(1 for o in outcomes if o.outcome.startswith(INCOMPLETE))
-    return 1 if violations else 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run_seed(seed: int, args: argparse.Namespace) -> FleetSoakRecord:
+    return run_fleet_soak(seed, mode=args.mode, n_datacenters=args.datacenters)

@@ -19,8 +19,8 @@ Modules
                 detector, replication log, takeover, config re-push
 ``plane``       the front door: session homing, retry/backoff
                 admission, cross-shard lease announcements
-``soak``        seeded controller-crash chaos soak with SHA-256
-                replay fingerprints (the CI ``shard`` job)
+``soak``        seeded controller-crash chaos scenario with SHA-256
+                replay fingerprints (``python -m repro.soak shard``)
 """
 
 from repro.shard.controller import ControllerReplica, ShardConfigStore, ShardController

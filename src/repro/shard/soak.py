@@ -16,30 +16,23 @@ complete-or-typed one, hardened for failover:
   records, fenced gate states and retry counts all fold into one
   SHA-256 fingerprint.
 
-CLI (the CI ``shard`` job)::
-
-    python -m repro.shard.soak --seeds 20 --replay --json shard_soak.json
+``python -m repro.soak shard`` sweeps it (the CI ``soak`` matrix); an
+exception mid-run is recorded as a violation by that runner.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.fleet.churn import JOIN, ChurnTrace
-from repro.fleet.manager import fleet_of
-from repro.fleet.soak import SOAK_DC_CITIES
+from repro.fleet.soak import admission_outcome, admission_tally, soak_datacenters
 from repro.fleet.verdict import AdmissionStatus
 from repro.net.events import EventScheduler
 from repro.shard.plane import ShardedControlPlane
-
-COMPLETE = "complete"
-TYPED_REJECTIONS = "complete-with-rejections"
-INCOMPLETE = "incomplete-untyped"
+from repro.soak import SoakRecord, fingerprint
 
 #: Drain margin after the last churn event: generous enough for the
 #: longest outage + detection + the full retry/backoff tail.  The
@@ -51,10 +44,9 @@ DRAIN_MARGIN_S = 30.0
 
 
 @dataclass(frozen=True)
-class ShardSoakOutcome:
+class ShardSoakRecord(SoakRecord):
     """One seed's sharded soak, summarized for aggregation and JSON."""
 
-    seed: int
     shards: int
     events: int
     admitted: int
@@ -70,8 +62,6 @@ class ShardSoakOutcome:
     stranded: int
     final_sessions: int
     final_vnfs: int
-    outcome: str
-    fingerprint: str
 
 
 def run_shard_soak(
@@ -84,7 +74,7 @@ def run_shard_soak(
     mean_holding_s: float = 12.0,
     max_faults: int = 3,
     controller_faults: bool = True,
-) -> ShardSoakOutcome:
+) -> ShardSoakRecord:
     """Drive one seeded churn trace through a crashing sharded plane.
 
     Both the churn and the crash schedule derive from ``seed``; crashes
@@ -94,11 +84,7 @@ def run_shard_soak(
     converges, not that outages never happen.
     """
     scheduler = EventScheduler()
-    cities = SOAK_DC_CITIES[: max(k, min(n_datacenters, len(SOAK_DC_CITIES)))]
-    datacenters = fleet_of(
-        cities, inbound_mbps=120.0, outbound_mbps=120.0, coding_mbps=108.0, max_vnfs=2
-    )
-    plane = ShardedControlPlane(k, datacenters, scheduler)
+    plane = ShardedControlPlane(k, soak_datacenters(max(k, n_datacenters)), scheduler)
     trace = ChurnTrace.generate(
         seed,
         duration_s=duration_s,
@@ -126,70 +112,32 @@ def run_shard_soak(
                 injector.add_controller(replica.name, replica)
         injector.arm()
         crashes = len(plan.of_kind(FaultKind.CONTROLLER_CRASH))
-    last_event_s = max(event.time_s for event in trace.events)
-    horizon = max(last_event_s, duration_s) + DRAIN_MARGIN_S
+    # default=: a window short enough to draw no churn at all still drains.
+    last_event_s = max((event.time_s for event in trace.events), default=0.0)
     try:
-        scheduler.run(until=horizon)
-    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
+        scheduler.run(until=max(last_event_s, duration_s) + DRAIN_MARGIN_S)
+    finally:
         plane.stop()
-        return ShardSoakOutcome(
-            seed=seed,
-            shards=k,
-            events=len(trace.events),
-            admitted=0,
-            rejected_capacity=0,
-            rejected_infeasible=0,
-            rejected_unavailable=0,
-            departed=0,
-            controller_crashes=crashes,
-            takeovers=0,
-            max_fence=0,
-            stale_rejected=0,
-            retries=0,
-            stranded=0,
-            final_sessions=-1,
-            final_vnfs=-1,
-            outcome=f"{INCOMPLETE}: {type(exc).__name__}: {exc}",
-            fingerprint="",
-        )
-    plane.stop()
-    admitted = sum(1 for v in plane.verdicts if v.status is AdmissionStatus.ADMITTED)
-    rejected_cap = sum(
-        1 for v in plane.verdicts if v.status is AdmissionStatus.REJECTED_CAPACITY
-    )
-    rejected_inf = sum(
-        1 for v in plane.verdicts if v.status is AdmissionStatus.REJECTED_INFEASIBLE
-    )
-    rejected_unavail = sum(
-        1 for v in plane.verdicts if v.status is AdmissionStatus.REJECTED_UNAVAILABLE
-    )
-    digest = hashlib.sha256()
-    for verdict in plane.verdicts:
-        digest.update(repr(verdict.canonical()).encode())
-    digest.update(repr(tuple(plane.departed)).encode())
-    digest.update(repr(plane.canonical()).encode())
-    fingerprint = digest.hexdigest()
-    joins = sum(1 for ev in trace.events if ev.kind == JOIN)
     # Replans verdicts would also land in plane.verdicts; the soak only
     # issues joins, so every join has exactly one verdict when typed.
-    typed = admitted + rejected_cap + rejected_inf + rejected_unavail == joins
+    tally = admission_tally(plane.verdicts)
     drained = (
         plane.active_sessions == 0 and plane.total_vnfs == 0 and not plane.stats.stranded
     )
-    if drained and typed and (rejected_cap or rejected_inf or rejected_unavail):
-        outcome = TYPED_REJECTIONS
-    elif drained and typed:
-        outcome = COMPLETE
-    else:
-        outcome = INCOMPLETE
-    return ShardSoakOutcome(
+    return ShardSoakRecord(
         seed=seed,
+        outcome=admission_outcome(tally, trace, drained),
+        fingerprint=fingerprint(
+            [verdict.canonical() for verdict in plane.verdicts],
+            tuple(plane.departed),
+            plane.canonical(),
+        ),
         shards=k,
         events=len(trace.events),
-        admitted=admitted,
-        rejected_capacity=rejected_cap,
-        rejected_infeasible=rejected_inf,
-        rejected_unavailable=rejected_unavail,
+        admitted=tally[AdmissionStatus.ADMITTED],
+        rejected_capacity=tally[AdmissionStatus.REJECTED_CAPACITY],
+        rejected_infeasible=tally[AdmissionStatus.REJECTED_INFEASIBLE],
+        rejected_unavailable=tally[AdmissionStatus.REJECTED_UNAVAILABLE],
         departed=len(plane.departed),
         controller_crashes=crashes,
         takeovers=plane.takeovers(),
@@ -203,74 +151,13 @@ def run_shard_soak(
         stranded=len(plane.stats.stranded),
         final_sessions=plane.active_sessions,
         final_vnfs=plane.total_vnfs,
-        outcome=outcome,
-        fingerprint=fingerprint,
     )
 
 
-def run_shard_chaos_soak(
-    seeds: int = 20,
-    *,
-    replay: bool = False,
-    k: int = 3,
-    n_datacenters: int = 8,
-) -> list[ShardSoakOutcome]:
-    """Soak ``seeds`` traces; with ``replay``, verify bit-identical reruns."""
-    outcomes: list[ShardSoakOutcome] = []
-    for seed in range(seeds):
-        outcome = run_shard_soak(seed, k=k, n_datacenters=n_datacenters)
-        if replay:
-            again = run_shard_soak(seed, k=k, n_datacenters=n_datacenters)
-            if again.fingerprint != outcome.fingerprint:
-                raise AssertionError(
-                    f"seed {seed}: replay fingerprint diverged "
-                    f"({outcome.fingerprint[:12]}… vs {again.fingerprint[:12]}…)"
-                )
-        outcomes.append(outcome)
-    return outcomes
-
-
-def soak_summary(outcomes: list[ShardSoakOutcome]) -> dict[str, object]:
-    """Aggregate counts for reporting and the CI JSON artifact."""
-    return {
-        "seeds": len(outcomes),
-        "complete": sum(1 for o in outcomes if o.outcome == COMPLETE),
-        "complete_with_rejections": sum(1 for o in outcomes if o.outcome == TYPED_REJECTIONS),
-        "incomplete_untyped": sum(1 for o in outcomes if o.outcome.startswith(INCOMPLETE)),
-        "admitted": sum(o.admitted for o in outcomes),
-        "rejected_capacity": sum(o.rejected_capacity for o in outcomes),
-        "rejected_infeasible": sum(o.rejected_infeasible for o in outcomes),
-        "rejected_unavailable": sum(o.rejected_unavailable for o in outcomes),
-        "controller_crashes": sum(o.controller_crashes for o in outcomes),
-        "takeovers": sum(o.takeovers for o in outcomes),
-        "stale_rejected": sum(o.stale_rejected for o in outcomes),
-        "retries": sum(o.retries for o in outcomes),
-        "stranded": sum(o.stranded for o in outcomes),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="sharded controller-crash chaos soak")
-    parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--replay", action="store_true", help="verify bit-identical replay")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=3)
     parser.add_argument("--datacenters", type=int, default=8)
-    parser.add_argument("--json", type=str, default=None, help="write outcomes to this path")
-    args = parser.parse_args(argv)
-    outcomes = run_shard_chaos_soak(
-        args.seeds, replay=args.replay, k=args.shards, n_datacenters=args.datacenters
-    )
-    summary = soak_summary(outcomes)
-    for key, value in summary.items():
-        print(f"{key}: {value}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"summary": summary, "outcomes": [asdict(o) for o in outcomes]}, fh, indent=2
-            )
-    violations = sum(1 for o in outcomes if o.outcome.startswith(INCOMPLETE))
-    return 1 if violations else 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run_seed(seed: int, args: argparse.Namespace) -> ShardSoakRecord:
+    return run_shard_soak(seed, k=args.shards, n_datacenters=args.datacenters)

@@ -1,9 +1,11 @@
 """Scenario presets and adaptive soak: wiring, determinism, contracts."""
 
+from functools import partial
+
 import pytest
 
 from repro.adapt.controller import AdaptState
-from repro.adapt.soak import classify, run_adapt_session, run_adapt_soak, soak_summary
+from repro.adapt.soak import classify, run_adapt_session
 from repro.experiments.scenarios import (
     GEO_SATELLITE,
     IOT_RELAY_CHAIN,
@@ -12,6 +14,7 @@ from repro.experiments.scenarios import (
     tcp_baseline_mbps,
 )
 from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.soak import COMPLETE, TYPED, run_soak, summarize
 
 DURATION = 4.0
 
@@ -88,7 +91,7 @@ class TestRunScenario:
 class TestAdaptSoak:
     def test_session_outcome_is_typed(self):
         outcome = run_adapt_session(0, preset=IOT_RELAY_CHAIN, duration_s=DURATION)
-        assert outcome.outcome in ("completed", "degraded-typed")
+        assert outcome.outcome in (COMPLETE, TYPED)
         assert outcome.fingerprint
 
     def test_reporter_kill_exercises_stall_fallback(self):
@@ -110,16 +113,18 @@ class TestAdaptSoak:
         assert states[-1] is AdaptState.STOPPED
         assert states[-2] is AdaptState.TRACKING
         assert result.stall_entries >= 1
-        outcome = classify(result)
-        assert outcome.typed
-        assert outcome.outcome in ("completed", "degraded-typed")
+        outcome = classify(5, result)
+        assert outcome.stall_entries >= 1 and outcome.applied_faults == 2  # the typed evidence
+        assert outcome.outcome in (COMPLETE, TYPED)
 
     def test_soak_replay_and_summary(self):
-        outcomes = run_adapt_soak(
-            range(2), replay=True, preset=IOT_RELAY_CHAIN, duration_s=DURATION
+        outcomes = run_soak(
+            partial(run_adapt_session, preset=IOT_RELAY_CHAIN, duration_s=DURATION),
+            range(2),
+            replay=True,
         )
-        summary = soak_summary(outcomes)
-        assert summary["runs"] == 2
+        summary = summarize(outcomes)
+        assert summary["seeds"] == 2
         assert summary["violations"] == []
-        assert summary["completed"] + summary["degraded_typed"] == 2
-        assert len({o["fingerprint"] for o in summary["outcomes"]}) == 2
+        assert summary[COMPLETE] + summary[TYPED] == 2
+        assert summary["totals"]["sent_generations"] >= summary["totals"]["decoded_generations"] > 0

@@ -38,6 +38,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.faults.injector import link_key
 from repro.net.link import Link
 from repro.net.packet import Datagram
+from repro.soak import COMPLETE, TYPED
 
 FLAVOR = InstanceFlavor("test.small", 2, 4.0, 1000.0, 1000.0, 900.0, 0.10)
 
@@ -440,7 +441,7 @@ class TestCrashDuringRetune:
         result = run_scenario(
             GEO_SATELLITE, mode="adaptive", loss=0.2, duration_s=6.0, seed=2, plan=plan
         )
-        return result, classify(result)
+        return result, classify(2, result)
 
     def test_daemon_crash_mid_retune_leaves_typed_records(self):
         # Kill the relay daemon inside the retune flurry (reports start
@@ -467,8 +468,8 @@ class TestCrashDuringRetune:
         # Post-restart retunes land again and the data plane still only
         # applies them at generation boundaries (no mid-block reshape).
         assert result.retunes_applied <= result.retunes_pushed
-        assert outcome.outcome in ("completed", "degraded-typed")
-        assert outcome.typed
+        assert outcome.outcome in (COMPLETE, TYPED)
+        assert outcome.applied_faults == 2  # kill + restart: the typed evidence
 
     def test_dropped_retune_is_recorded_and_superseded(self):
         plan = FaultPlan([FaultEvent(0.9, FaultKind.SIGNAL_DROP, "NcSettings")])
@@ -485,4 +486,4 @@ class TestCrashDuringRetune:
         final = daemon.session_configs[result.source.session.session_id]
         assert final.blocks_per_generation == controller.config.blocks_per_generation
         assert final.redundancy.extra == controller.config.redundancy.extra
-        assert outcome.outcome in ("completed", "degraded-typed")
+        assert outcome.outcome in (COMPLETE, TYPED)

@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.shard.soak import (
-    COMPLETE,
-    INCOMPLETE,
-    TYPED_REJECTIONS,
-    run_shard_chaos_soak,
-    run_shard_soak,
-    soak_summary,
-)
+from repro.shard.soak import run_shard_soak
+from repro.soak import COMPLETE, TYPED, is_violation, run_soak, summarize
 
-SEEDS = range(4)  # tier-1 digest; the CI shard job runs the 20-seed CLI
+SEEDS = range(4)  # tier-1 digest; the CI soak matrix runs the 20-seed CLI
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +15,8 @@ def outcomes():
 
 def test_every_seed_ends_complete_or_typed(outcomes):
     for outcome in outcomes:
-        assert outcome.outcome in (COMPLETE, TYPED_REJECTIONS), (
-            outcome.seed,
-            outcome.outcome,
-        )
-        assert not outcome.outcome.startswith(INCOMPLETE)
+        assert outcome.outcome in (COMPLETE, TYPED), (outcome.seed, outcome.outcome)
+        assert not is_violation(outcome)
 
 
 def test_every_join_got_exactly_one_typed_verdict(outcomes):
@@ -64,14 +55,12 @@ def test_crashes_actually_happen_and_are_survived(outcomes):
 
 
 def test_replay_is_bit_identical():
+    # Whole-record equality, not just the digest: every counter the
+    # record carries (retries, fences, stale rejections) replays.
     first = run_shard_soak(0)
     again = run_shard_soak(0)
     assert first.fingerprint and first.fingerprint == again.fingerprint
     assert first == again
-
-
-def test_different_seeds_diverge():
-    assert run_shard_soak(0).fingerprint != run_shard_soak(1).fingerprint
 
 
 def test_crashes_change_the_run():
@@ -83,8 +72,8 @@ def test_crashes_change_the_run():
 
 
 def test_chaos_soak_runner_with_replay():
-    outcomes = run_shard_chaos_soak(2, replay=True)
-    summary = soak_summary(outcomes)
+    summary = summarize(run_soak(run_shard_soak, range(2), replay=True))
     assert summary["seeds"] == 2
-    assert summary["incomplete_untyped"] == 0
-    assert summary["complete"] + summary["complete_with_rejections"] == 2
+    assert summary["violations"] == []
+    assert summary[COMPLETE] + summary[TYPED] == 2
+    assert summary["totals"]["controller_crashes"] > 0
