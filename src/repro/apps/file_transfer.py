@@ -35,7 +35,7 @@ in DESIGN.md §2.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +145,8 @@ class NcSourceApp:
         self._cache_limit = cache_generations
         self._repair_debt_s = 0.0          # pacing debt repairs owe the data stream
         self._repair_rr = 0                # round-robin link index for repairs
-        self._repair_queue: list = []      # (next_hop, packet), drained paced
+        # (next_hop, packet), drained paced from the head
+        self._repair_queue: deque[tuple[str, CodedPacket]] = deque()
         self._repair_drain_running = False
         self._last_repair_at: dict[int, float] = {}
         self.repair_dedupe_s = 0.08        # collapse duplicate NACKs (two receivers)
@@ -403,7 +404,7 @@ class NcSourceApp:
         if not self._repair_queue:
             self._repair_drain_running = False
             return
-        next_hop, packet = self._repair_queue.pop(0)
+        next_hop, packet = self._repair_queue.popleft()
         self.repair_packets += 1
         self._send(next_hop, packet)
         # Paced at the aggregate link rate; each repair also pushes the

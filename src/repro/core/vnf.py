@@ -54,6 +54,17 @@ class VnfRole(enum.Enum):
     FORWARDER = "forwarder"
 
 
+class _RelayState:
+    """What a recoding VNF keeps for one buffered (session, generation)."""
+
+    __slots__ = ("recoder", "hop_progress")
+
+    def __init__(self, recoder: Recoder) -> None:
+        self.recoder = recoder
+        #: shaped next hop -> [arrivals, emitted]
+        self.hop_progress: dict[str, list[int]] = {}
+
+
 class CodingVnf(Node):
     """One coding function instance on one VM."""
 
@@ -94,12 +105,14 @@ class CodingVnf(Node):
         # flooding the link.
         # (session, hop) -> (skip, emit-cap)
         self._hop_shapes: dict[tuple[int, str], tuple[int, int | None]] = {}
-        # (session, hop, generation) -> [arrivals, emitted]
-        self._hop_progress: dict[tuple[int, str, int], list[int]] = {}
         self._payload_bytes: dict[int, int] = {}    # session -> last seen wire payload size
         self.forwarding_table = ForwardingTable()
         self.buffers: dict[int, GenerationBuffer] = {}
-        self._recoders: dict[tuple[int, int], Recoder] = {}
+        # session -> generation -> relay state, one entry per generation
+        # the session's buffer holds; the buffer owns eviction and
+        # reports it (GenerationBuffer.last_evicted), so steady-state
+        # cost per packet does not depend on how many are buffered.
+        self._relays: dict[int, dict[int, _RelayState]] = {}
         self._decoders: dict[tuple[int, int], Decoder] = {}
         self._delivery: dict[int, Callable[[int, Generation], None]] = {}
 
@@ -134,6 +147,7 @@ class CodingVnf(Node):
         self.roles[session_id] = role
         self.configs[session_id] = config
         self.buffers[session_id] = GenerationBuffer(config.buffer_generations)
+        self._relays.setdefault(session_id, {})
         self._pending_retunes.pop(session_id, None)
         if deliver is not None:
             self._delivery[session_id] = deliver
@@ -187,8 +201,8 @@ class CodingVnf(Node):
             raise ValueError("shape parameters cannot be negative")
         if skip_arrivals == 0 and emit_per_generation is None:
             self._hop_shapes.pop((session_id, next_hop), None)
-            for progress_key in [k for k in self._hop_progress if k[0] == session_id and k[1] == next_hop]:
-                del self._hop_progress[progress_key]
+            for relay in self._relays.get(session_id, {}).values():
+                relay.hop_progress.pop(next_hop, None)
             return
         self._hop_shapes[(session_id, next_hop)] = (skip_arrivals, emit_per_generation)
 
@@ -205,10 +219,11 @@ class CodingVnf(Node):
         """
         if count <= 0:
             return 0
-        recoder = self._recoders.get((session_id, generation_id))
+        relay = self._relays.get(session_id, {}).get(generation_id)
         payload_bytes = self._payload_bytes.get(session_id)
-        if recoder is None or recoder.buffered == 0 or payload_bytes is None:
+        if relay is None or relay.recoder.buffered == 0 or payload_bytes is None:
             return 0
+        recoder = relay.recoder
         hops = self.forwarding_table.next_hops(session_id)
         if not hops:
             return 0
@@ -233,10 +248,7 @@ class CodingVnf(Node):
         self._payload_bytes.pop(session_id, None)
         for shape_key in [k for k in self._hop_shapes if k[0] == session_id]:
             del self._hop_shapes[shape_key]
-        for progress_key in [k for k in self._hop_progress if k[0] == session_id]:
-            del self._hop_progress[progress_key]
-        for recoder_key in [k for k in self._recoders if k[0] == session_id]:
-            del self._recoders[recoder_key]
+        self._relays.pop(session_id, None)
         for decoder_key in [k for k in self._decoders if k[0] == session_id]:
             del self._decoders[decoder_key]
 
@@ -291,7 +303,7 @@ class CodingVnf(Node):
         packet = dgram.payload
         if not isinstance(packet, CodedPacket):
             return  # not for the coding layer
-        role = self.roles.get(packet.session_id)
+        role = self.roles.get(packet.header.session_id)
         if role is None:
             return  # unknown session: drop (no NC_SETTINGS received)
         start = max(self.scheduler.now, self._busy_until)
@@ -309,7 +321,7 @@ class CodingVnf(Node):
             self.corrupt_dropped += 1
             return
         self.processed_packets += 1
-        role = self.roles[packet.session_id]
+        role = self.roles[packet.header.session_id]
         if role is VnfRole.FORWARDER:
             self._forward(packet, payload_bytes)
         elif role is VnfRole.RECODER or role is VnfRole.ENCODER:
@@ -323,41 +335,49 @@ class CodingVnf(Node):
             self.send(hop, packet, payload_bytes, dst_port=NC_PORT)
 
     def _recode_and_forward(self, original: CodedPacket, payload_bytes: int) -> None:
-        buffer = self.buffers[original.session_id]
-        self._payload_bytes[original.session_id] = payload_bytes
-        key = (original.session_id, original.generation_id)
-        recoder = self._recoders.get(key)
-        if recoder is None or original.generation_id not in buffer:
-            # New generation (or evicted): the buffer arbitrates first —
-            # a straggler for an already-evicted generation is refused
-            # rather than allowed to evict live state for a dead one.
-            before = set(buffer.generations())
-            if not buffer.add(original.generation_id, original):
+        header = original.header
+        session_id = header.session_id
+        generation_id = header.generation_id
+        buffer = self.buffers[session_id]
+        self._payload_bytes[session_id] = payload_bytes
+        relays = self._relays[session_id]
+        relay = relays.get(generation_id)
+        if relay is None or generation_id not in buffer:
+            # New generation: the buffer arbitrates first — a straggler
+            # for an already-evicted generation is refused rather than
+            # allowed to evict live state for a dead one.
+            if not buffer.add(generation_id, original):
                 self.stale_dropped += 1
                 return
-            config = self._config_at_boundary(original.session_id)
+            config = self._config_at_boundary(session_id)
             recoder = Recoder(
-                original.session_id,
-                original.generation_id,
-                original.header.block_count,
+                session_id,
+                generation_id,
+                header.block_count,
                 field=config.galois_field,
                 rng=self._rng,
             )
-            self._recoders[key] = recoder
-            evicted = before - set(buffer.generations())
-            for gen_id in evicted:
-                self._recoders.pop((original.session_id, gen_id), None)
-                for stale in [k for k in self._hop_progress if k[0] == original.session_id and k[2] == gen_id]:
-                    del self._hop_progress[stale]
-        elif not buffer.add(original.generation_id, original):
+            if relay is None:
+                relay = relays[generation_id] = _RelayState(recoder)
+            else:
+                # configure_session() replaced the buffer under a
+                # generation in flight: recoding restarts from this
+                # packet, the per-hop shaping counts carry on.
+                relay.recoder = recoder
+            if buffer.last_evicted is not None:
+                relays.pop(buffer.last_evicted, None)
+        elif not buffer.add(generation_id, original):
             # A wire-duplicated copy adds no degree of freedom: emitting
             # a recode for it would just burn downstream bandwidth.
             self.duplicate_dropped += 1
             return
+        else:
+            recoder = relay.recoder
         first = recoder.buffered == 0
         recoder.add(original)
-        for hop in self.forwarding_table.next_hops(original.session_id):
-            shape = self._hop_shapes.get((original.session_id, hop))
+        hop_shapes = self._hop_shapes
+        for hop in self.forwarding_table.next_hops(session_id):
+            shape = hop_shapes.get((session_id, hop))
             if shape is None:
                 # Default pipelining: one packet out per packet in; the
                 # very first packet of a generation is forwarded verbatim.
@@ -366,8 +386,9 @@ class CodingVnf(Node):
                 self.send(hop, out, payload_bytes, dst_port=NC_PORT)
                 continue
             skip, emit_cap = shape
-            hop_key = (original.session_id, hop, original.generation_id)
-            progress = self._hop_progress.setdefault(hop_key, [0, 0])
+            progress = relay.hop_progress.get(hop)
+            if progress is None:
+                progress = relay.hop_progress[hop] = [0, 0]
             progress[0] += 1
             if progress[0] > skip and (emit_cap is None or progress[1] < emit_cap):
                 progress[1] += 1
@@ -375,17 +396,19 @@ class CodingVnf(Node):
                 self.send(hop, recoder.recode(), payload_bytes, dst_port=NC_PORT)
 
     def _decode(self, packet: CodedPacket) -> None:
-        key = (packet.session_id, packet.generation_id)
+        header = packet.header
+        session_id = header.session_id
+        key = (session_id, header.generation_id)
         decoder = self._decoders.get(key)
         if decoder is None:
-            config = self._config_at_boundary(packet.session_id)
+            config = self._config_at_boundary(session_id)
             block_bytes = (
                 packet.payload.shape[0] if self.payload_mode == "coefficients-only" else config.block_bytes
             )
             decoder = Decoder(
-                packet.session_id,
-                packet.generation_id,
-                packet.header.block_count,
+                session_id,
+                header.generation_id,
+                header.block_count,
                 block_bytes,
                 field=config.galois_field,
             )
@@ -396,13 +419,13 @@ class CodingVnf(Node):
         if decoder.complete:
             self.decoded_generations += 1
             generation = decoder.decode()
-            deliver = self._delivery.get(packet.session_id)
+            deliver = self._delivery.get(session_id)
             if deliver is not None:
-                deliver(packet.session_id, generation)
+                deliver(session_id, generation)
             # Also forward decoded payloads to any configured next hops
             # (decoder VNFs "forward the recovered payload to the
             # destinations", §III-A).
-            for hop in self.forwarding_table.next_hops(packet.session_id):
+            for hop in self.forwarding_table.next_hops(session_id):
                 self.emitted_packets += 1
                 self.send(hop, generation, generation.size_bytes, dst_port=NC_PORT)
 

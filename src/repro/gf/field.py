@@ -77,6 +77,7 @@ class GaloisField:
         self.dtype = np.uint8 if w <= 8 else np.uint16
         self._mul_full: FieldArray | None = None
         self._mul_rows_cache: dict[int, FieldArray] = {}
+        self._inv_ints: list[int] | None = None
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -129,6 +130,23 @@ class GaloisField:
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
         return self._exp[(self.order - 1) - self._log[a]]
+
+    def scalar_inv(self, a: int) -> int:
+        """Multiplicative inverse of one element, Python int in and out.
+
+        The decoder normalizes one pivot per innovative packet; going
+        through :meth:`inv` costs an array round-trip per scalar.  The
+        table is built from :meth:`inv` on first use (``2**w`` ints).
+        """
+        table = self._inv_ints
+        if table is None:
+            nonzero = np.arange(1, self.order, dtype=self.dtype)
+            table = self._inv_ints = [0, *self.inv(nonzero).tolist()]
+        if 0 < a < self.order:
+            return table[a]
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse in GF(2^w)")
+        raise ValueError(f"element {a} out of range for GF(2^{self.w})")
 
     def pow(self, a: FieldLike, n: int) -> FieldArray:
         """Raise field element(s) to an integer power ``n >= 0``."""

@@ -15,6 +15,12 @@ freedom, and double-counting would make eviction accounting lie), and a
 straggler for a generation that was already evicted must not re-open a
 bucket — that would evict a *live* generation to store a dead one.
 Both are rejected by :meth:`add` returning ``False``.
+
+The buffer owns eviction and reports it: after every :meth:`add`,
+:attr:`GenerationBuffer.last_evicted` names the generation that call
+displaced (``None`` when it displaced nothing), so a VNF keeping
+per-generation state beside the buffer drops exactly that entry instead
+of diffing snapshots of the buffered ids.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class GenerationBuffer:
         # Highest generation id ever evicted: stragglers at or below it
         # are dead and must not displace live generations.
         self._highest_evicted = -1
+        #: Generation id evicted by the most recent :meth:`add`, else None.
+        self.last_evicted: int | None = None
 
     def __len__(self) -> int:
         """Number of generations currently buffered."""
@@ -65,8 +73,11 @@ class GenerationBuffer:
         duplicate of a stored packet is dropped (``duplicate_packets``),
         and a straggler for an already-evicted generation id is refused
         rather than allowed to evict a live generation
-        (``rejected_stale``).
+        (``rejected_stale``).  :attr:`last_evicted` is set to the
+        generation this call evicted, or ``None`` if it evicted nothing
+        (including every rejected call).
         """
+        self.last_evicted = None
         bucket = self._generations.get(generation_id)
         if bucket is None:
             if generation_id <= self._highest_evicted:
@@ -91,6 +102,7 @@ class GenerationBuffer:
         self.stored_packets -= len(packets)
         if oldest_id > self._highest_evicted:
             self._highest_evicted = oldest_id
+        self.last_evicted = oldest_id
 
     def release(self, generation_id: int) -> list[Any]:
         """Remove and return a generation's packets (after decode/forward)."""

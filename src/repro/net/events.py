@@ -4,6 +4,11 @@ A single :class:`EventScheduler` instance is shared by links, nodes,
 VNFs and the controller.  Time is a float in seconds.  Events fire in
 timestamp order; ties break in scheduling order (a monotone sequence
 number), which keeps runs deterministic for a fixed seed.
+
+The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+ordering is decided by a C-level tuple compare on the first two fields
+and an :class:`Event` itself is never compared (DESIGN.md §10, "hot
+path").
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from typing import Any, Callable
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_scheduler")
+    __slots__ = ("time", "fn", "args", "cancelled", "_scheduler")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+    def __init__(
+        self, time: float, fn: Callable[..., Any], args: tuple[Any, ...], scheduler: "EventScheduler"
+    ) -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -28,7 +34,7 @@ class Event:
         # can keep the scheduler's live/cancelled counters exact.  The
         # scheduler nulls it when the event leaves the heap; a cancel()
         # after firing is then a pure flag set.
-        self._scheduler: "EventScheduler | None" = None
+        self._scheduler: "EventScheduler | None" = scheduler
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
@@ -38,9 +44,6 @@ class Event:
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler._on_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -97,7 +100,7 @@ class EventScheduler:
     _COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._live = 0
         self._cancelled = 0
@@ -108,9 +111,9 @@ class EventScheduler:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, next(self._seq), fn, args)
-        event._scheduler = self
-        heapq.heappush(self._queue, event)
+        time = self.now + delay
+        event = Event(time, fn, args, self)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         self._live += 1
         return event
 
@@ -122,10 +125,14 @@ class EventScheduler:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify the queue."""
-        queue = [e for e in self._queue if not e.cancelled]
+        """Drop cancelled entries and re-heapify the queue.
+
+        In place: :meth:`run` holds a reference to the list across
+        callbacks, and a callback may cancel its way into a compaction.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
         heapq.heapify(queue)
-        self._queue = queue
         self._cancelled = 0
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -154,40 +161,38 @@ class EventScheduler:
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._cancelled -= 1
-                event._scheduler = None
-                continue
-            self._live -= 1
-            event._scheduler = None
-            self.now = event.time
-            self.processed += 1
-            event.fn(*event.args)
-            return True
-        return False
+        before = self.processed
+        self.run(max_events=1)
+        return self.processed != before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the queue, optionally stopping at time ``until``.
 
         When ``until`` is given, the clock is advanced exactly to it even
         if the last event fired earlier, so periodic samplers see a full
-        final interval.
+        final interval.  Stopping on ``max_events`` with a due event
+        still queued leaves the clock at the last fired event.
         """
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
-        while self._queue:
-            nxt = self._queue[0]
-            if nxt.cancelled:
-                heapq.heappop(self._queue)
+        while queue:
+            time, _, event = queue[0]
+            if event.cancelled:
+                pop(queue)
                 self._cancelled -= 1
-                nxt._scheduler = None
+                event._scheduler = None
                 continue
-            if until is not None and nxt.time > until:
+            if until is not None and time > until:
                 break
             if max_events is not None and fired >= max_events:
                 return
-            self.step()
+            pop(queue)
+            self._live -= 1
+            event._scheduler = None
+            self.now = time
+            self.processed += 1
             fired += 1
+            event.fn(*event.args)
         if until is not None and self.now < until:
             self.now = until

@@ -185,20 +185,22 @@ class Link:
         """Enqueue a packet; returns False if it was dropped at the tail."""
         if self._deliver is None:
             raise RuntimeError(f"link {self.src}->{self.dst} has no receiver connected")
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += dgram.wire_bytes
+        stats = self.stats
+        wire_bytes = dgram.wire_bytes
+        stats.sent_packets += 1
+        stats.sent_bytes += wire_bytes
         if not self.is_up:
-            self.stats.dropped_down += 1
+            stats.dropped_down += 1
             return False
-        if self._backlog_bytes + dgram.wire_bytes > self.queue_bytes:
-            self.stats.dropped_queue += 1
+        if self._backlog_bytes + wire_bytes > self.queue_bytes:
+            stats.dropped_queue += 1
             return False
         now = self.scheduler.now
         start = max(now, self._tx_free_at)
-        tx_time = dgram.wire_bits / self.capacity_bps
+        tx_time = 8 * wire_bytes / self.capacity_bps
         finish = start + tx_time
         self._tx_free_at = finish
-        self._backlog_bytes += dgram.wire_bytes
+        self._backlog_bytes += wire_bytes
         self.scheduler.schedule_at(finish, self._transmitted, dgram, self._epoch)
         return True
 

@@ -10,6 +10,11 @@ against coding delay.
 
 Decoding completes when rank reaches k; back-substitution then recovers
 the original generation.
+
+Rows are stored fused, ``[coefficients | payload]`` in one matrix — the
+layout :class:`~repro.rlnc.recoder.Recoder` uses — so every elimination
+step is one table gather and one XOR over the whole row instead of one
+pair for the coefficients and another for the payload.
 """
 
 from __future__ import annotations
@@ -37,16 +42,14 @@ class Decoder:
         self.block_count = block_count
         self.block_bytes = block_bytes
         self.field = field
-        # Row-echelon state: _coeffs[r] has its pivot at column _pivots[r].
-        self._coeffs = np.zeros((block_count, block_count), dtype=field.dtype)
-        self._payloads = np.zeros((block_count, block_bytes), dtype=field.dtype)
+        # Row-echelon state: _rows[r] is [coefficients | payload] with
+        # its pivot at the column mapped to r in _pivot_rows.
+        self._rows = np.zeros((block_count, block_count + block_bytes), dtype=field.dtype)
         self._pivot_rows: dict[int, int] = {}  # pivot column -> row index
-        # Reusable work/reduction buffers: every incoming packet is
-        # reduced in place here, so folding a packet allocates nothing.
-        self._work_coeffs = np.empty(block_count, dtype=field.dtype)
-        self._work_payload = np.empty(block_bytes, dtype=field.dtype)
-        self._scratch_coeffs = np.empty(block_count, dtype=field.dtype)
-        self._scratch_payload = np.empty(block_bytes, dtype=field.dtype)
+        # Every incoming packet is reduced in place in _work, products
+        # land in _scratch, so folding a packet allocates nothing.
+        self._work = np.empty(block_count + block_bytes, dtype=field.dtype)
+        self._scratch = np.empty(block_count + block_bytes, dtype=field.dtype)
         self.received = 0
         self.redundant = 0
 
@@ -71,41 +74,40 @@ class Decoder:
 
     def add(self, packet: CodedPacket) -> bool:
         """Fold a packet in; returns True if it was innovative."""
-        if packet.session_id != self.session_id or packet.generation_id != self.generation_id:
+        header = packet.header
+        if header.session_id != self.session_id or header.generation_id != self.generation_id:
             raise ValueError(
-                f"packet for ({packet.session_id}, {packet.generation_id}) fed to decoder "
+                f"packet for ({header.session_id}, {header.generation_id}) fed to decoder "
                 f"for ({self.session_id}, {self.generation_id})"
             )
-        if packet.header.block_count != self.block_count:
+        k = self.block_count
+        coefficients = header.coefficients
+        payload = packet.payload
+        if coefficients.shape[0] != k:
             raise ValueError("coefficient vector length does not match the decoder's block count")
-        if packet.payload.shape[0] != self.block_bytes:
-            raise ValueError(
-                f"payload is {packet.payload.shape[0]} bytes, decoder expects {self.block_bytes}"
-            )
+        if payload.shape[0] != self.block_bytes:
+            raise ValueError(f"payload is {payload.shape[0]} bytes, decoder expects {self.block_bytes}")
         self.received += 1
-        # Fold into the reusable work buffers (no .astype().copy()
-        # double-copy; the cast happens during the buffer fill).
-        coeffs = self._work_coeffs
-        payload = self._work_payload
-        np.copyto(coeffs, packet.coefficients)
-        np.copyto(payload, packet.payload)
+        field = self.field
+        rows = self._rows
+        pivot_rows = self._pivot_rows
+        work = self._work
+        work[:k] = coefficients
+        work[k:] = payload
 
         # Reduce against existing pivots, in place.
-        for col in range(self.block_count):
-            factor = int(coeffs[col])
+        for col in range(k):
+            factor = work.item(col)
             if not factor:
                 continue
-            row = self._pivot_rows.get(col)
+            row = pivot_rows.get(col)
             if row is None:
                 # New pivot: normalize straight into the stored row.
-                inv = int(self.field.inv(factor))
-                slot = self.rank
-                self.field.scale_into(inv, coeffs, self._coeffs[slot])
-                self.field.scale_into(inv, payload, self._payloads[slot])
-                self._pivot_rows[col] = slot
+                slot = len(pivot_rows)
+                field.scale_into(field.scalar_inv(factor), work, rows[slot])
+                pivot_rows[col] = slot
                 return True
-            self.field.addmul_into(coeffs, factor, self._coeffs[row], scratch=self._scratch_coeffs)
-            self.field.addmul_into(payload, factor, self._payloads[row], scratch=self._scratch_payload)
+            field.addmul_into(work, factor, rows[row], scratch=self._scratch)
         # Reduced to zero: linearly dependent.
         self.redundant += 1
         return False
@@ -114,19 +116,19 @@ class Decoder:
         """Recover the original blocks; requires :attr:`complete`."""
         if not self.complete:
             raise RuntimeError(f"decoder has rank {self.rank} < {self.block_count}; cannot decode yet")
-        # Back-substitution: eliminate above-pivot entries so the
-        # coefficient matrix becomes the identity (rows indexed by pivot).
-        coeffs = self._coeffs.copy()
-        payloads = self._payloads.copy()
+        # Back-substitution on a copy: eliminate above-pivot entries so
+        # the coefficient part becomes the identity (rows indexed by
+        # pivot) and the payload part holds the original blocks.
+        k = self.block_count
+        rows = self._rows.copy()
         order = sorted(self._pivot_rows.items())  # (pivot column, row), ascending column
         for i in range(len(order) - 1, -1, -1):
             col, row = order[i]
-            for col_j, row_j in order[:i]:
-                factor = coeffs[row_j, col]
+            for _, row_j in order[:i]:
+                factor = rows.item(row_j, col)
                 if factor:
-                    coeffs[row_j] = self.field.add(coeffs[row_j], self.field.scale(factor, coeffs[row]))
-                    payloads[row_j] = self.field.add(payloads[row_j], self.field.scale(factor, payloads[row]))
-        blocks = np.zeros((self.block_count, self.block_bytes), dtype=np.uint8)
-        for col, row in self._pivot_rows.items():
-            blocks[col] = payloads[row]
+                    self.field.addmul_into(rows[row_j], factor, rows[row], scratch=self._scratch)
+        blocks = np.zeros((k, self.block_bytes), dtype=np.uint8)
+        for col, row in order:
+            blocks[col] = rows[row, k:]
         return Generation(generation_id=self.generation_id, blocks=blocks)

@@ -74,10 +74,10 @@ class TestMultiSession:
         send_session(topo, rng, config, 2)
         topo.run()
         assert set(vnf.buffers) == {1, 2}
-        assert all(key[0] == 1 for key in vnf._recoders)  # only session 1 recodes
+        assert vnf._relays[1] and not vnf._relays[2]  # only session 1 recodes
         vnf.drop_session(1)
         assert set(vnf.buffers) == {2}
-        assert not vnf._recoders
+        assert 1 not in vnf._relays
 
     def test_shared_service_queue(self, shared_vnf, rng):
         # Both sessions contend for the same per-packet service capacity

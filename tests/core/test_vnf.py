@@ -1,5 +1,7 @@
 """Data-plane coding VNF tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestPauseResume:
         topo.run()
         vnfs[0].drop_session(1)
         assert 1 not in vnfs[0].roles
-        assert not vnfs[0]._recoders
+        assert not vnfs[0]._relays
 
 
 class TestHopShaping:
@@ -191,3 +193,87 @@ class TestDispatcher:
         scheduler.run()
         # All four packets of generation 0 went to exactly one instance.
         assert sorted([v1.processed_packets, v2.processed_packets]) == [0, 4]
+
+
+def drive_bounded_relay(rng, generations=40, on_generation=None):
+    """A buffer_generations=8 recoder with two shaped next hops, under
+    duplicates and stragglers; returns (relay, emitted packet digest).
+
+    Per generation: four systematic packets and one coded; every fifth
+    generation repeats its second packet on the wire, every fourth (from
+    12 on) is followed by a straggler for the generation ten back, which
+    the eight-deep buffer evicted long ago.
+    """
+    topo = Topology(rng=rng)
+    topo.add_node("src")
+    relay = CodingVnf("relay", topo.scheduler, rng=rng, coding_overhead_s=0.0)
+    topo.add_node(relay)
+    config = CodingConfig(block_bytes=16, buffer_generations=8)
+    relay.configure_session(1, VnfRole.RECODER, config)
+    relay.forwarding_table = ForwardingTable({1: ["left", "right"]})
+    relay.set_hop_shape(1, "left", skip_arrivals=1)
+    relay.set_hop_shape(1, "right", skip_arrivals=2, emit_per_generation=2)
+    topo.add_link(LinkSpec("src", "relay", 100.0, 1.0))
+    digest = hashlib.sha256()
+    for sink in ("left", "right"):
+        topo.add_node(sink)
+        topo.add_link(LinkSpec("relay", sink, 100.0, 1.0))
+
+        def record(dgram, sink=sink):
+            packet = dgram.payload
+            digest.update(f"{sink}:{packet.generation_id}:".encode())
+            digest.update(packet.coefficients.tobytes() + packet.payload.tobytes())
+
+        topo.get(sink).listen(NC_PORT, record)
+    src = topo.get("src")
+    sent = {}
+    for gen_id in range(generations):
+        blocks = rng.integers(0, 256, (4, config.block_bytes), dtype=np.uint8)
+        sent[gen_id] = Encoder(1, Generation(gen_id, blocks), rng=rng).next_packets(5)
+        burst = list(sent[gen_id])
+        if gen_id % 5 == 0:
+            burst.insert(2, burst[1])
+        if gen_id >= 12 and gen_id % 4 == 0:
+            burst.append(sent[gen_id - 10][0])
+        for packet in burst:
+            src.send("relay", packet, 64, dst_port=NC_PORT)
+        topo.run()
+        if on_generation is not None:
+            on_generation(relay)
+    return relay, digest.hexdigest()
+
+
+class TestBoundedRelayState:
+    """Relay state is one record per *buffered* generation, whatever
+    the stream length; the buffer's eviction report keeps it so."""
+
+    #: drive_bounded_relay(default_rng(12345)) at the commit before the
+    #: relay-state rewrite (set-diff eviction, (session, hop, generation)
+    #: progress keys): the emitted (generation, coefficients, payload)
+    #: sequence must not move.
+    PARENT_DIGEST = "1b4012758f751d7c86f1090b954a4bb3a580058ef45a3a56f15305b9b400602d"
+
+    def test_state_tracks_the_buffer_and_output_is_unchanged(self, rng):
+        def bounded(relay):
+            buffered = set(relay.buffers[1].generations())
+            assert len(buffered) <= 8
+            assert set(relay._relays[1]) == buffered
+
+        relay, digest = drive_bounded_relay(rng, on_generation=bounded)
+        assert set(relay._relays[1]) == set(range(32, 40))
+        for state in relay._relays[1].values():
+            assert state.hop_progress == {"left": [5, 4], "right": [5, 2]}
+        assert relay.duplicate_dropped == 8   # generations 0, 5, ..., 35
+        assert relay.stale_dropped == 7       # after generations 12, 16, ..., 36
+        assert relay.processed_packets == 40 * 5 + 8 + 7
+        assert relay.emitted_packets == 40 * (4 + 2)
+        assert digest == self.PARENT_DIGEST
+
+    def test_clearing_a_shape_and_dropping_the_session_leave_no_progress(self, rng):
+        relay, _ = drive_bounded_relay(rng, generations=12)
+        relay.set_hop_shape(1, "left", 0)
+        assert (1, "left") not in relay._hop_shapes
+        assert all(set(state.hop_progress) == {"right"} for state in relay._relays[1].values())
+        relay.drop_session(1)
+        assert 1 not in relay._relays and 1 not in relay.buffers
+        assert not relay._hop_shapes

@@ -100,6 +100,26 @@ class TestDivisionInverse:
         b = GF256.random_nonzero(rng, 100)
         assert np.array_equal(GF256.mul(GF256.div(a, b), b), a)
 
+    def test_scalar_inv_equals_inv_exhaustively_for_small_fields(self):
+        for field in (GF16, GF256):
+            elements = np.arange(1, field.order, dtype=field.dtype)
+            table = [field.scalar_inv(a) for a in range(1, field.order)]
+            assert all(type(value) is int for value in table)
+            assert table == field.inv(elements).tolist()
+
+    def test_scalar_inv_equals_inv_on_a_gf65536_sample(self, rng):
+        sample = [1, 2, 255, 256, 65535, *GF65536.random_nonzero(rng, 500).tolist()]
+        expected = GF65536.inv(np.asarray(sample, dtype=np.uint16)).tolist()
+        assert [GF65536.scalar_inv(a) for a in sample] == expected
+
+    @pytest.mark.parametrize("field", [GF16, GF256, GF65536], ids=repr)
+    def test_scalar_inv_rejects_zero_and_out_of_range(self, field):
+        with pytest.raises(ZeroDivisionError):
+            field.scalar_inv(0)
+        for bad in (-1, field.order):
+            with pytest.raises(ValueError):
+                field.scalar_inv(bad)
+
 
 class TestPow:
     def test_pow_zero_is_one(self, rng):

@@ -44,9 +44,10 @@ class TestMultiInstance:
         # generations (the (session, generation) hash key).
         seen = {}
         for vnf in live.vnfs["T"]:
-            for (sid, gen_id) in vnf._recoders:
-                assert (sid, gen_id) not in seen, "generation split across instances"
-                seen[(sid, gen_id)] = vnf.name
+            for sid, relays in vnf._relays.items():
+                for gen_id in relays:
+                    assert (sid, gen_id) not in seen, "generation split across instances"
+                    seen[(sid, gen_id)] = vnf.name
         assert seen
 
     def test_throughput_close_to_plan(self, outcome):

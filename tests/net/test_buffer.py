@@ -139,3 +139,39 @@ class TestRelease:
         buf.clear()
         assert len(buf) == 0
         assert buf.stored_packets == 0
+
+
+class TestEvictionReport:
+    """``last_evicted`` names what the most recent add() displaced."""
+
+    def test_none_while_there_is_room(self):
+        buf = GenerationBuffer(2)
+        buf.add(0, "a")
+        assert buf.last_evicted is None
+        buf.add(0, "b")
+        buf.add(1, "c")
+        assert buf.last_evicted is None
+
+    def test_names_the_evicted_generation_for_one_add_only(self):
+        buf = GenerationBuffer(2)
+        buf.add(3, "a")
+        buf.add(1, "b")
+        buf.add(7, "c")  # FIFO: evicts 3, the oldest *inserted*
+        assert buf.last_evicted == 3
+        buf.add(7, "d")  # fits in an existing bucket
+        assert buf.last_evicted is None
+        buf.add(8, "e")
+        assert buf.last_evicted == 1
+
+    def test_refused_packets_evict_nothing(self):
+        buf = GenerationBuffer(2)
+        buf.add(0, "a")
+        buf.add(1, "b")
+        buf.add(2, "c")
+        assert buf.last_evicted == 0
+        assert buf.add(0, "late") is False  # straggler: refused, not stored
+        assert buf.last_evicted is None
+        assert list(buf.generations()) == [1, 2]
+        assert buf.add(2, "c") is False  # duplicate
+        assert buf.last_evicted is None
+        assert buf.evicted_generations == 1
