@@ -25,6 +25,10 @@ Edge = tuple[str, str]
 #: Guard against float-noise ceilings: ceil(x/c - _CEIL_EPS).
 _CEIL_EPS = 1e-9
 
+#: The one "is this rate zero" threshold (Mbps): a flow at or below it is
+#: solver dust — it enters neither a plan's rates nor a forwarding table.
+RATE_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class FleetDataCenter:
@@ -54,9 +58,10 @@ class FleetPlan:
 
     session_id: int
     lambda_mbps: float
-    #: (receiver host, path, conceptual-flow rate) with rate > 0.
+    #: (receiver host, path, conceptual-flow rate) with rate > RATE_EPS.
     path_rates: tuple[tuple[str, Path, float], ...]
-    #: (edge, actual coded rate) with rate > 0; covers host + WAN edges.
+    #: (edge, actual coded rate) with rate > RATE_EPS; covers host + WAN
+    #: edges, each of them on at least one path in ``path_rates``.
     edge_rates: tuple[tuple[Edge, float], ...]
 
     def edges(self) -> tuple[Edge, ...]:
@@ -66,6 +71,17 @@ class FleetPlan:
         """Sorted data centers this plan routes through."""
         touched = {n for edge, _ in self.edge_rates for n in edge if n in dc_names}
         return tuple(sorted(touched))
+
+    def routes(self) -> dict[str, set[str]]:
+        """Forwarding-table lines (``sid:prev->next``) per relaying node."""
+        lines: dict[str, set[str]] = {}
+        for _, path, rate in self.path_rates:
+            if rate <= RATE_EPS:
+                continue
+            nodes = path.nodes
+            for i in range(1, len(nodes) - 1):
+                lines.setdefault(nodes[i], set()).add(f"{self.session_id}:{nodes[i - 1]}->{nodes[i + 1]}")
+        return lines
 
 
 class SurplusIndex:

@@ -23,6 +23,7 @@ one at a daemon (DESIGN.md §11).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -100,6 +101,10 @@ class FleetManager:
 
         self.sessions: dict[int, SessionSpec] = {}
         self.plans: dict[int, FleetPlan] = {}
+        # Per-PoP forwarding table as a sorted list of route lines, kept in
+        # step with ``plans`` by _install/_remove: a config push joins one
+        # PoP's lines instead of rescanning every live plan.
+        self._routes: dict[str, list[str]] = {}
         self._lps: dict[int, SessionLP] = {}
         self._basis_cache: dict[str, tuple[int, ...]] = {}
         self.config_epoch = 0
@@ -213,7 +218,7 @@ class FleetManager:
 
     def depart(self, session_id: int) -> FleetPlan | None:
         """Session leave: release capacity, retire surplus VNFs, 0 solves."""
-        plan = self.plans.pop(session_id, None)
+        plan = self._remove(session_id)
         if plan is None:
             return None  # never admitted (rejected join) — nothing to undo
         self.sessions.pop(session_id, None)
@@ -247,11 +252,11 @@ class FleetManager:
         # Retire the released capacity's VNF surplus so the re-solve pays
         # α for what it reclaims — identical accounting to a fresh join.
         self._retire_surplus(old_dcs)
-        self.plans.pop(session_id, None)
+        self._remove(session_id)
         result, plan = self._solve(lp)
         if plan is None or plan.lambda_mbps < spec.rate_mbps - _RATE_TOL:
             # Rollback: the old routing is known-feasible.
-            self.plans[session_id] = old
+            self._install(old)
             self.index.apply(old)
             self._grow_vnfs(old_dcs)
             return self._record(
@@ -306,7 +311,8 @@ class FleetManager:
         if self.sessions or self.plans:
             raise ValueError("adopt_state requires a freshly constructed manager")
         self.sessions = dict(sessions)
-        self.plans = dict(plans)
+        for plan in plans.values():
+            self._install(plan)
         self.index.rebuild(self.plans.values())
         self.config_epoch = max(self.config_epoch, config_epoch)
         self.config_fence = fence
@@ -337,6 +343,24 @@ class FleetManager:
             lp.bind(self.index)
             self._lps[session_id] = lp
         return lp
+
+    def _install(self, plan: FleetPlan) -> None:
+        """Make a plan live: store it and index its routes per PoP."""
+        self.plans[plan.session_id] = plan
+        for dc, lines in plan.routes().items():
+            table = self._routes.setdefault(dc, [])
+            for line in lines:
+                insort(table, line)
+
+    def _remove(self, session_id: int) -> FleetPlan | None:
+        """Drop a live plan and its routes; None if the session has none."""
+        plan = self.plans.pop(session_id, None)
+        if plan is not None:
+            for dc, lines in plan.routes().items():
+                table = self._routes[dc]
+                for line in lines:
+                    del table[bisect_left(table, line)]
+        return plan
 
     def _solve(self, lp: SessionLP) -> tuple[SimplexResult, FleetPlan | None]:
         basis = self._basis_cache.get(lp.signature) if self.mode == INCREMENTAL else None
@@ -380,7 +404,7 @@ class FleetManager:
 
     def _apply(self, plan: FleetPlan) -> int:
         """Charge an accepted plan to the index; scale VNFs; push config."""
-        self.plans[plan.session_id] = plan
+        self._install(plan)
         self.index.apply(plan)
         touched = plan.datacenters(self._dc_name_set)
         launched = self._grow_vnfs(touched)
@@ -459,17 +483,7 @@ class FleetManager:
 
     def forwarding_table(self, dc: str) -> str:
         """Deterministic text table of the routes crossing one PoP."""
-        lines: set[str] = set()
-        for sid in sorted(self.plans):
-            plan = self.plans[sid]
-            for _, path, rate in plan.path_rates:
-                if rate <= _RATE_TOL:
-                    continue
-                nodes = path.nodes
-                for i in range(1, len(nodes) - 1):
-                    if nodes[i] == dc:
-                        lines.add(f"{sid}:{nodes[i - 1]}->{nodes[i + 1]}")
-        return "\n".join(sorted(lines))
+        return "\n".join(self._routes.get(dc, ()))
 
     def forwarding_tables(self) -> dict[str, str]:
         """Per-PoP tables; the equivalence property compares these."""

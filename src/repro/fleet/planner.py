@@ -36,15 +36,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.fleet.capacity import Edge, FleetPlan, SurplusIndex
+from repro.fleet.capacity import RATE_EPS, Edge, FleetPlan, SurplusIndex
 from repro.lp.simplex import FloatArray, SimplexResult, solve_simplex
 from repro.routing.paths import Path
 
 if TYPE_CHECKING:
     from repro.fleet.churn import SessionSpec
-
-#: Rates below this are treated as zero when extracting plans.
-RATE_EPS = 1e-9
 
 Bound = tuple[float | None, float | None]
 
@@ -94,70 +91,70 @@ class SessionLP:
             col += 1
         n = col
 
-        # -- rows ----------------------------------------------------------
-        rows: list[FloatArray] = []
-        rhs: list[float] = []
-
-        def add_row(coeffs: dict[int, float], bound: float) -> int:
-            row = np.zeros(n)
-            for j, v in coeffs.items():
-                row[j] = v
-            rows.append(row)
-            rhs.append(bound)
-            return len(rows) - 1
-
+        # -- rows: written into one matrix preallocated at their upper bound --
+        on_edge: list[dict[Edge, list[int]]] = []
         for recv in self.receivers:
-            coeffs = {0: 1.0}
+            path_cols: dict[Edge, list[int]] = {}
             for path in self.paths[recv]:
-                coeffs[self._path_col[(recv, path)]] = -1.0
-            add_row(coeffs, 0.0)
-
-        for recv in self.receivers:
-            on_edge: dict[Edge, list[int]] = {}
-            for path in self.paths[recv]:
-                pcol = self._path_col[(recv, path)]
                 for edge in path.edges:
-                    on_edge.setdefault(edge, []).append(pcol)
-            for edge in sorted(on_edge):
-                coeffs = {pcol: 1.0 for pcol in on_edge[edge]}
-                coeffs[self._edge_col[edge]] = -1.0
-                add_row(coeffs, 0.0)
+                    path_cols.setdefault(edge, []).append(self._path_col[(recv, path)])
+            on_edge.append(path_cols)
+        out_of: dict[str, list[int]] = {}
+        into: dict[str, list[int]] = {}
+        for edge, j in self._edge_col.items():
+            out_of.setdefault(edge[0], []).append(j)
+            into.setdefault(edge[1], []).append(j)
+        most_rows = (
+            2 * len(self.receivers)
+            + sum(len(path_cols) for path_cols in on_edge)
+            + len(self.edges)
+            + 1
+            + 2 * len(self.touched_dcs)
+        )
+        a = np.zeros((most_rows, n))
+        rhs = np.zeros(most_rows)
+        row = 0
+
+        for recv in self.receivers:
+            a[row, 0] = 1.0
+            a[row, [self._path_col[(recv, path)] for path in self.paths[recv]]] = -1.0
+            row += 1
+
+        for path_cols in on_edge:
+            for edge in sorted(path_cols):
+                a[row, path_cols[edge]] = 1.0
+                a[row, self._edge_col[edge]] = -1.0
+                row += 1
 
         self._shared_rows: list[tuple[int, Edge]] = []
         for edge in self.edges:
+            a[row, self._edge_col[edge]] = 1.0
             if edge in shared_edges:
-                r = add_row({self._edge_col[edge]: 1.0}, 0.0)  # rhs patched
-                self._shared_rows.append((r, edge))
+                self._shared_rows.append((row, edge))  # rhs patched
             else:
-                add_row({self._edge_col[edge]: 1.0}, access_mbps)
+                rhs[row] = access_mbps
+            row += 1
 
-        source_host = self.spec.source_host()
-        out_cols = {self._edge_col[e]: 1.0 for e in self.edges if e[0] == source_host}
-        if out_cols:
-            add_row(out_cols, source_out_mbps)
-        for recv in self.receivers:
-            in_cols = {self._edge_col[e]: 1.0 for e in self.edges if e[1] == recv}
-            if in_cols:
-                add_row(in_cols, receiver_in_mbps)
+        aggregates = [(out_of.get(self.spec.source_host()), source_out_mbps)]
+        aggregates += [(into.get(recv), receiver_in_mbps) for recv in self.receivers]
+        for cols, cap in aggregates:
+            if cols:
+                a[row, cols] = 1.0
+                rhs[row] = cap
+                row += 1
 
+        # Per-DC rows: the y coefficient is filled by bind(), the rhs patched.
         self._dc_in_rows: list[tuple[int, str]] = []
         self._dc_out_rows: list[tuple[int, str]] = []
         for dc in self.touched_dcs:
-            in_cols = {self._edge_col[e]: 1.0 for e in self.edges if e[1] == dc}
-            out_cols = {self._edge_col[e]: 1.0 for e in self.edges if e[0] == dc}
-            if in_cols:
-                coeffs = dict(in_cols)
-                coeffs[self._y_col[dc]] = 0.0  # coefficient filled by bind()
-                r = add_row(coeffs, 0.0)
-                self._dc_in_rows.append((r, dc))
-            if out_cols:
-                coeffs = dict(out_cols)
-                coeffs[self._y_col[dc]] = 0.0
-                r = add_row(coeffs, 0.0)
-                self._dc_out_rows.append((r, dc))
+            for cols, dc_rows in ((into.get(dc), self._dc_in_rows), (out_of.get(dc), self._dc_out_rows)):
+                if cols:
+                    a[row, cols] = 1.0
+                    dc_rows.append((row, dc))
+                    row += 1
 
-        self._a: FloatArray = np.array(rows) if rows else np.zeros((0, n))
-        self._static_rhs: FloatArray = np.array(rhs)
+        self._a: FloatArray = a[:row]
+        self._static_rhs: FloatArray = rhs[:row]
         self._n = n
         self._bound = False
 
@@ -255,10 +252,13 @@ class SessionLP:
                 rate = float(x[self._path_col[(recv, path)]])
                 if rate > RATE_EPS:
                     path_rates.append((recv, path, rate))
+        # Only edges a kept path runs over: the index is charged, and a PoP
+        # touched, for exactly what the forwarding tables route.
+        routed = {edge for _, path, _ in path_rates for edge in path.edges}
         edge_rates: list[tuple[Edge, float]] = []
         for edge in self.edges:
             rate = float(x[self._edge_col[edge]])
-            if rate > RATE_EPS:
+            if rate > RATE_EPS and edge in routed:
                 edge_rates.append((edge, rate))
         return FleetPlan(
             session_id=self.spec.session_id,

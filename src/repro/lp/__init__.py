@@ -9,9 +9,12 @@ available offline, so this package provides:
   expressions, constraints, max/min objective) that compiles to matrix
   form.
 - a **HiGHS backend** via :func:`scipy.optimize.linprog` (the default),
-- a **pure-Python two-phase dense simplex** backend
-  (:mod:`repro.lp.simplex`) used as a fallback and as an independent
-  cross-check in tests,
+- a **dense numpy simplex** (:mod:`repro.lp.simplex`): array-pivot
+  primal simplex that starts from the slack basis when the program is
+  a packing LP and from a cached basis when given one, with two-phase
+  as the general fallback — the solver behind every fleet admission,
+  the ``"simplex"`` backend here, and an independent cross-check of
+  HiGHS in tests,
 - :mod:`repro.lp.rounding` — LP-relaxation rounding for the integer VNF
   counts x_v, rounding *up* so bandwidth/capacity constraints (2c)–(2e)
   remain satisfied.

@@ -1,16 +1,22 @@
-"""Dense two-phase primal simplex over numpy.
+"""Dense primal simplex over numpy: slack start, two-phase fallback.
 
-A from-scratch LP solver used (a) as a fallback when scipy is absent or
-misbehaves and (b) as an independent cross-check of the HiGHS backend
-in tests.  It accepts the same matrix form :class:`repro.lp.model.
-LinearProgram` compiles to: minimize ``c @ x`` subject to
-``A_ub x <= b_ub``, ``A_eq x = b_eq`` and per-variable bounds.
+A from-scratch LP solver: the fleet layer's per-session delta LPs run
+on it (its exported basis warm-starts the next solve), the modeling
+layer offers it as the ``"simplex"`` backend, and tests use it as an
+independent cross-check of HiGHS.  It accepts the matrix form
+:class:`repro.lp.model.LinearProgram` compiles to: minimize ``c @ x``
+subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and per-variable bounds.
 
 Bounded variables are handled by shifting to zero lower bounds and
-adding explicit upper-bound rows — simple, O(rows²·cols) dense pivoting
-with Bland's rule for cycling safety.  Fine for the few-hundred-variable
-programs problem (2) produces on 5–20 data centers; use the HiGHS
-backend for anything big.
+adding explicit upper-bound rows.  A program with no equality rows and
+no negative shifted rhs (every packing LP the fleet builds) already has
+a feasible basis — its slack columns — so phase 2 starts there on an
+``(m+1)×(n+m+1)`` tableau; anything else goes through phase 1 with
+``m`` artificial columns.  A pivot is one rank-1 numpy update (O(rows·
+cols)) and both the entering and the leaving variable follow Bland's
+rule, so the solver cannot cycle.  Dense tableaus suit the few-hundred-
+variable programs problem (2) produces on 5–20 data centers; whole-
+fleet programs go to the sparse HiGHS backend.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 FloatArray = npt.NDArray[np.float64]
+IntArray = npt.NDArray[np.intp]
 
 _EPS = 1e-9
 
@@ -53,10 +60,10 @@ def solve_simplex(
     for a program with the *same standard-form shape* (same variables,
     same rows in the same order — typically the same program with a
     different rhs).  When the cached basis is still primal-feasible the
-    solve skips phase 1 entirely and starts phase 2 from that vertex;
-    when it is stale (singular, infeasible, or shaped wrong) the solver
-    silently falls back to the cold two-phase path, so passing a basis
-    is always safe.
+    solve starts phase 2 from that vertex; when it is stale (singular,
+    infeasible, or shaped wrong) the solver silently falls back to the
+    cold path — the slack start if the program allows it, else two-phase
+    — so passing a basis is always safe.
     """
     cost = np.asarray(c, dtype=np.float64)
     n = cost.shape[0]
@@ -120,29 +127,28 @@ def solve_simplex(
     # --- warm start: reuse a prior basis, skipping phase 1 when it is
     # still primal-feasible for the new rhs.
     if initial_basis is not None:
-        warm = _warm_tableau(big_a, big_b, cost, initial_basis, n, total, m)
+        warm = _warm_tableau(big_a, big_b, cost, initial_basis)
         if warm is not None:
             tableau_w, basis_w = warm
             iters_w, status_w = _pivot_loop(tableau_w, basis_w, max_iter)
             if status_w == "optimal":
-                x = np.zeros(total)
-                for i, bv in enumerate(basis_w):
-                    x[bv] = tableau_w[i, -1]
-                solution = x[:n] + shift
-                return SimplexResult(
-                    solution,
-                    float(cost @ solution),
-                    True,
-                    "optimal",
-                    iters_w,
-                    basis=tuple(basis_w),
-                    warm_started=True,
-                )
+                return _optimal(tableau_w, basis_w, cost, shift, iters_w, warm_started=True)
             if status_w == "unbounded":
                 return SimplexResult(
                     np.zeros(n), 0.0, False, status_w, iters_w, warm_started=True
                 )
             # Iteration limit from a warm vertex: fall through and retry cold.
+
+    # --- slack start: with only <= rows and no negative rhs the slack
+    # columns are a feasible basis already (x = 0), so there is nothing
+    # for phase 1 to find and no artificial column to carry.
+    if m_eq == 0 and not neg.any():
+        tableau_s = _phase2_tableau(big_a, big_b, cost)
+        basis_s = np.arange(n, total, dtype=np.intp)
+        iters_s, status = _pivot_loop(tableau_s, basis_s, max_iter)
+        if status != "optimal":
+            return SimplexResult(np.zeros(n), 0.0, False, status, iters_s)
+        return _optimal(tableau_s, basis_s, cost, shift, iters_s)
 
     # --- phase 1: artificial variables, minimize their sum.
     tableau = np.zeros((m + 1, total + m + 1))
@@ -150,7 +156,7 @@ def solve_simplex(
     tableau[:m, total : total + m] = np.eye(m)
     tableau[:m, -1] = big_b
     tableau[m, total : total + m] = 1.0
-    basis = list(range(total, total + m))
+    basis = np.arange(total, total + m, dtype=np.intp)
     # Price out artificials from the objective row.
     for i in range(m):
         tableau[m] -= tableau[i]
@@ -162,42 +168,64 @@ def solve_simplex(
         return SimplexResult(np.zeros(n), 0.0, False, "infeasible", iters1)
 
     # Drive any artificial still in the basis out (degenerate rows).
-    for i in range(m):
-        if basis[i] >= total:
-            pivot_col = next((j for j in range(total) if abs(tableau[i, j]) > _EPS), None)
-            if pivot_col is None:
-                continue  # redundant row
-            _pivot(tableau, basis, i, pivot_col)
+    for i in np.flatnonzero(basis >= total):
+        usable = np.flatnonzero(np.abs(tableau[i, :total]) > _EPS)
+        if usable.size:  # else a redundant row: its artificial stays basic at 0
+            _pivot(tableau, basis, int(i), int(usable[0]))
 
     # --- phase 2: real objective over the current basis.
-    tableau2 = np.zeros((m + 1, total + 1))
-    tableau2[:m, :total] = tableau[:m, :total]
-    tableau2[:m, -1] = tableau[:m, -1]
-    tableau2[m, :n] = cost
-    for i, bv in enumerate(basis):
-        if bv < total and abs(tableau2[m, bv]) > _EPS:
-            tableau2[m] -= tableau2[m, bv] * tableau2[i]
+    tableau2 = _phase2_tableau(tableau[:m, :total], tableau[:m, -1], cost)
+    _price_out(tableau2, basis)
 
     iters2, status = _pivot_loop(tableau2, basis, max_iter)
     if status != "optimal":
         return SimplexResult(np.zeros(n), 0.0, False, status, iters1 + iters2)
+    return _optimal(tableau2, basis, cost, shift, iters1 + iters2)
 
+
+def _phase2_tableau(body: FloatArray, rhs: FloatArray, cost: FloatArray) -> FloatArray:
+    """``[body | rhs]`` over the real objective row (not yet priced out)."""
+    m, total = body.shape
+    tableau = np.zeros((m + 1, total + 1))
+    tableau[:m, :total] = body
+    tableau[:m, -1] = rhs
+    tableau[m, : cost.shape[0]] = cost
+    return tableau
+
+
+def _optimal(
+    tableau: FloatArray,
+    basis: IntArray,
+    cost: FloatArray,
+    shift: FloatArray,
+    iterations: int,
+    warm_started: bool = False,
+) -> SimplexResult:
+    """Read the vertex off an optimal phase-2 tableau and undo the bound shift."""
+    total = tableau.shape[1] - 1
     x = np.zeros(total)
-    for i, bv in enumerate(basis):
-        if bv < total:
-            x[bv] = tableau2[i, -1]
-    solution = x[:n] + shift
+    real = basis < total
+    x[basis[real]] = tableau[:-1, -1][real]
+    solution = x[: cost.shape[0]] + shift
     # Only a basis made purely of structural/slack columns can seed a
     # warm start; a leftover artificial (redundant row) poisons it.
-    final_basis = tuple(basis) if all(bv < total for bv in basis) else None
     return SimplexResult(
         solution,
         float(cost @ solution),
         True,
         "optimal",
-        iters1 + iters2,
-        basis=final_basis,
+        iterations,
+        basis=tuple(basis.tolist()) if real.all() else None,
+        warm_started=warm_started,
     )
+
+
+def _price_out(tableau: FloatArray, basis: IntArray) -> None:
+    """Zero the objective row's reduced cost on every real basic column."""
+    m, total = tableau.shape[0] - 1, tableau.shape[1] - 1
+    for i, bv in enumerate(basis.tolist()):
+        if bv < total and abs(tableau[m, bv]) > _EPS:
+            tableau[m] -= tableau[m, bv] * tableau[i]
 
 
 def _warm_tableau(
@@ -205,16 +233,14 @@ def _warm_tableau(
     big_b: FloatArray,
     cost: FloatArray,
     initial_basis: Sequence[int],
-    n: int,
-    total: int,
-    m: int,
-) -> tuple[FloatArray, list[int]] | None:
+) -> tuple[FloatArray, IntArray] | None:
     """Build a phase-2 tableau from a cached basis, or None if stale.
 
     The basis is stale when its shape no longer matches the program,
     the basis matrix is singular, or the implied vertex is primal
     infeasible for the new rhs (a basic value would be negative).
     """
+    m, total = big_a.shape
     basis = [int(b) for b in initial_basis]
     if len(basis) != m or len(set(basis)) != m:
         return None
@@ -230,43 +256,42 @@ def _warm_tableau(
     x_basic = binv @ big_b
     if x_basic.min() < -1e-7:
         return None
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :total] = binv @ big_a
-    tableau[:m, -1] = np.maximum(x_basic, 0.0)
-    tableau[m, :n] = cost
-    for i, bv in enumerate(basis):
-        if abs(tableau[m, bv]) > _EPS:
-            tableau[m] -= tableau[m, bv] * tableau[i]
-    return tableau, basis
+    tableau = _phase2_tableau(binv @ big_a, np.maximum(x_basic, 0.0), cost)
+    warm_basis = np.array(basis, dtype=np.intp)
+    _price_out(tableau, warm_basis)
+    return tableau, warm_basis
 
 
-def _pivot_loop(tableau: FloatArray, basis: list[int], max_iter: int) -> tuple[int, str]:
+def _pivot_loop(tableau: FloatArray, basis: IntArray, max_iter: int) -> tuple[int, str]:
     """Run simplex pivots until optimal/unbounded; Bland's rule."""
     m = tableau.shape[0] - 1
+    obj = tableau[m, :-1]
+    rhs = tableau[:m, -1]
+    ratios = np.empty(m)
     for iteration in range(max_iter):
-        obj = tableau[m, :-1]
-        candidates = np.nonzero(obj < -_EPS)[0]
+        candidates = (obj < -_EPS).nonzero()[0]
         if candidates.size == 0:
             return iteration, "optimal"
         col = int(candidates[0])  # Bland: smallest index
         column = tableau[:m, col]
-        rhs = tableau[:m, -1]
-        ratios = np.full(m, np.inf)
-        positive = column > _EPS
-        ratios[positive] = rhs[positive] / column[positive]
-        if not np.isfinite(ratios).any():
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _EPS)
+        best = ratios.min(initial=np.inf)
+        if not best < np.inf:  # no row limits the entering variable
             return iteration, "unbounded"
         # Bland tie-break on the leaving variable as well.
-        best = float(ratios.min())
-        tied = [i for i in range(m) if ratios[i] <= best + _EPS]
-        row = min(tied, key=lambda i: basis[i])
+        tied = (ratios <= best + _EPS).nonzero()[0]
+        row = int(tied[basis[tied].argmin()])
         _pivot(tableau, basis, row, col)
     return max_iter, "iteration limit"
 
 
-def _pivot(tableau: FloatArray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > _EPS:
-            tableau[i] -= tableau[i, col] * tableau[row]
+def _pivot(tableau: FloatArray, basis: IntArray, row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``: one masked rank-1 update of the tableau."""
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    column = tableau[:, col]
+    factors = np.where(np.abs(column) > _EPS, column, 0.0)  # 0 masks a row out
+    factors[row] = 0.0
+    tableau -= factors[:, None] * pivot_row
     basis[row] = col

@@ -1,0 +1,117 @@
+"""Regression: a join that meets a full PoP must not be refused its rate.
+
+With 1 Gbps VNFs a join that exactly fills a PoP's live VNFs leaves
+that PoP a slack of a few 1e-12 Mbps (or exactly 0).  Driven through
+the two-phase simplex, session 539 of this churn came back "optimal" at
+λ = 0 after 388 pivots — some on 1.4e-9 pivot elements that Bland's
+tie-break picked among the tableau's many degenerate rows — and was
+``REJECTED_CAPACITY`` ("residual capacity carries 0.000/5.000 Mbps")
+while HiGHS carries the full rate on the same matrices.  From the slack
+basis the same program takes 31 pivots and lands on HiGHS's vertex.
+The churn is the benchmark's ``plane-churn-failover`` recipe at seed
+105 with the fleet benchmark's 1 Gbps PoPs; the benchmark itself
+side-steps the case with 10 Gbps ones.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from repro.fleet import planner
+from repro.fleet.churn import JOIN, ChurnTrace
+from repro.fleet.manager import fleet_of
+from repro.fleet.soak import SOAK_DC_CITIES
+from repro.net.events import EventScheduler
+from repro.shard.plane import ShardedControlPlane
+
+SEED = 105
+CHUNKS = 8
+CHUNK_SIM_S = 20.0
+WITNESS = 539  # the join the two-phase path used to reject
+
+
+@pytest.fixture(scope="module")
+def churned_plane():
+    """Eight churn chunks, one primary crashed per chunk; records the witness LP."""
+    witness: dict[str, object] = {}
+    last_program: dict[str, object] = {}
+    real_simplex = planner.solve_simplex
+    real_solve = planner.SessionLP.solve
+
+    def recording_simplex(c, **kwargs):
+        last_program.update(c=c, **kwargs)
+        return real_simplex(c, **kwargs)
+
+    def recording_solve(lp, index, initial_basis=None):
+        outcome = real_solve(lp, index, initial_basis)
+        if lp.spec.session_id == WITNESS:
+            witness.update({k: np.array(last_program[k]) for k in ("c", "a_ub", "b_ub")})
+            witness["bounds"] = list(last_program["bounds"])
+        return outcome
+
+    scheduler = EventScheduler()
+    plane = ShardedControlPlane(
+        3,
+        fleet_of(SOAK_DC_CITIES[:8], inbound_mbps=1_000.0, outbound_mbps=1_000.0, coding_mbps=900.0),
+        scheduler,
+        manager_kwargs={"backbone_mbps": 100_000.0},
+    )
+    shard_ids = sorted(plane.shards)
+    down = {}
+
+    def crash(shard_id: str) -> None:
+        shard = plane.shards[shard_id]
+        down[shard_id] = next(r for r in shard.replicas if r.name == shard.lease.holder)
+        down[shard_id].crash()
+
+    joins = 0
+    patch = pytest.MonkeyPatch()
+    patch.setattr(planner, "solve_simplex", recording_simplex)
+    patch.setattr(planner.SessionLP, "solve", recording_solve)
+    try:
+        for chunk in range(CHUNKS):
+            base = chunk * CHUNK_SIM_S
+            trace = ChurnTrace.generate(
+                SEED * 100_000 + chunk,
+                duration_s=CHUNK_SIM_S,
+                arrival_rate_per_s=5.0,
+                mean_holding_s=40.0,
+                delay_choices_ms=(100.0, 150.0),
+                start_id=joins + 1,
+            )
+            for event in trace.events:
+                if event.kind == JOIN:
+                    scheduler.schedule_at(base + event.time_s, plane.submit, event.spec)
+                    joins += 1
+                else:
+                    scheduler.schedule_at(base + event.time_s, plane.depart, event.session_id)
+            shard_id = shard_ids[chunk % len(shard_ids)]
+            scheduler.schedule_at(base + 5.0, crash, shard_id)
+            scheduler.schedule_at(base + 15.0, lambda s=shard_id: down.pop(s).restore())
+            scheduler.run(until=base + CHUNK_SIM_S)
+    finally:
+        patch.undo()
+        plane.stop()
+    return plane, joins, witness
+
+
+def test_every_join_is_admitted(churned_plane):
+    plane, joins, _ = churned_plane
+    assert joins == 810 and len(plane.verdicts) == joins
+    refused = [(v.session_id, v.status.name, v.reason) for v in plane.verdicts if not v.admitted]
+    assert refused == []
+
+
+def test_highs_carries_the_witness_rate_on_the_same_matrices(churned_plane):
+    plane, _, witness = churned_plane
+    verdict = next(v for v in plane.verdicts if v.session_id == WITNESS)
+    assert verdict.admitted
+    highs = linprog(
+        witness["c"], A_ub=witness["a_ub"], b_ub=witness["b_ub"], bounds=witness["bounds"], method="highs"
+    )
+    assert highs.status == 0
+    assert highs.x[0] == pytest.approx(verdict.requested_mbps, abs=1e-9)
+    assert verdict.lambda_mbps == pytest.approx(highs.x[0], abs=1e-9)
+    assert np.all(np.asarray(witness["b_ub"]) >= 0.0)  # a packing LP: the slack start applies
