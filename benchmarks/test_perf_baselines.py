@@ -32,7 +32,7 @@ import pytest
 from repro.experiments.butterfly import run_butterfly_nc
 from repro.gf import GF256
 from repro.net.events import EventScheduler
-from repro.rlnc import CodedPacket, Decoder, Encoder, Generation
+from repro.rlnc import CodedPacket, Decoder, Encoder, Generation, Recoder
 
 BLOCKS = 4          # the paper's blocks per generation
 BLOCK_BYTES = 1460  # MTU-filling block size
@@ -69,8 +69,8 @@ def _check_against_baseline(path: Path, metrics: dict) -> list:
     """Compare ``metrics`` with the committed baseline file.
 
     Returns a list of regression messages (empty = within tolerance).
-    ``*_ns`` metrics are lower-is-better, ``*_per_s`` higher-is-better;
-    ratios and counts are informational only.
+    ``*_ns`` and ``*_ns_per_*`` metrics are lower-is-better, ``*_per_s``
+    higher-is-better; ratios and counts are informational only.
     """
     if not path.exists():
         return []
@@ -80,7 +80,7 @@ def _check_against_baseline(path: Path, metrics: dict) -> list:
         base = baseline.get(name)
         if base is None or not base:
             continue
-        if name.endswith("_ns") and value > base * TOLERANCE:
+        if (name.endswith("_ns") or "_ns_per_" in name) and value > base * TOLERANCE:
             problems.append(f"{name}: {value:.0f} ns vs baseline {base:.0f} ns (> {TOLERANCE}x)")
         elif name.endswith("_per_s") and value < base / TOLERANCE:
             problems.append(f"{name}: {value:.0f}/s vs baseline {base:.0f}/s (< 1/{TOLERANCE}x)")
@@ -89,6 +89,24 @@ def _check_against_baseline(path: Path, metrics: dict) -> list:
 
 def _write_bench(path: Path, metrics: dict, config: dict) -> None:
     path.write_text(json.dumps({"config": config, "metrics": metrics}, indent=2) + "\n")
+
+
+def _relay_ns_per_packet(blocks: int, block_bytes: int) -> float:
+    """One relay arrival: ``Recoder.add`` (duplicate verdict included)
+    then ``recode`` — k + 2 distinct packets and one wire duplicate."""
+    rng = np.random.default_rng(20250928)
+    generation = Generation(0, rng.integers(0, 256, (blocks, block_bytes), dtype=np.uint8))
+    feed = Encoder(1, generation, rng=rng).next_packets(blocks + 2)
+    feed.insert(2, feed[1])
+
+    def _relay_generation():
+        recoder = Recoder(1, 0, blocks, rng=rng)
+        for packet in feed:
+            if recoder.add(packet):
+                recoder.recode()
+        assert recoder.buffered == blocks + 2
+
+    return _best_of(_relay_generation, repeats=9, number=20) / len(feed) * 1e9
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +147,8 @@ def codec_metrics(request):
         "encoder_burst_ns_per_packet": encode_burst_s / BURST * 1e9,
         "wire_roundtrip_ns": wire_s * 1e9,
         "decode_generation_ns": decode_s * 1e9,
+        "relay_add_recode_ns_per_packet_4x1460": _relay_ns_per_packet(BLOCKS, BLOCK_BYTES),
+        "relay_add_recode_ns_per_packet_16x256": _relay_ns_per_packet(16, 256),
         "wire_bytes": len(wire),
     }
 

@@ -49,7 +49,7 @@ from repro.rlnc.decoder import Decoder
 from repro.rlnc.encoder import Encoder
 from repro.rlnc.generation import Generation
 from repro.rlnc.header import FIXED_HEADER_BYTES, NCHeader
-from repro.rlnc.packet import CodedPacket
+from repro.rlnc.packet import CodedPacket, MalformedPacketError
 from repro.util.rng import derive_rng
 
 ACK_PORT = 52018
@@ -465,6 +465,7 @@ class NcReceiverApp:
         self.received_packets = 0
         self.redundant_packets = 0
         self.corrupt_dropped = 0
+        self.malformed_dropped = 0
         self.nacks_sent = 0
         self.nacks_suppressed = 0
         self.highest_seen = -1
@@ -505,7 +506,14 @@ class NcReceiverApp:
                 field=self.session.coding.galois_field,
             )
             self._decoders[gen_id] = decoder
-        if not decoder.add(packet):
+        try:
+            innovative = decoder.add(packet)
+        except MalformedPacketError:
+            # Shaped unlike the generation it names (hostile or confused
+            # sender): dropped like a corrupt packet, the run goes on.
+            self.malformed_dropped += 1
+            return
+        if not innovative:
             self.redundant_packets += 1
         if decoder.complete:
             self.completed[gen_id] = self.node.scheduler.now

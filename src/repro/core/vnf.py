@@ -40,7 +40,7 @@ from repro.net.node import Node
 from repro.net.packet import Datagram
 from repro.rlnc.decoder import Decoder
 from repro.rlnc.generation import Generation
-from repro.rlnc.packet import CodedPacket
+from repro.rlnc.packet import CodedPacket, MalformedPacketError
 from repro.rlnc.recoder import Recoder
 from repro.util.rng import derive_rng
 
@@ -103,17 +103,19 @@ class CodingVnf(Node):
         # the first recode already mixes both incoming branches, and the
         # emission cap matches the conceptual-flow allocation instead of
         # flooding the link.
-        # (session, hop) -> (skip, emit-cap)
-        self._hop_shapes: dict[tuple[int, str], tuple[int, int | None]] = {}
+        # session -> hop -> (skip, emit-cap)
+        self._hop_shapes: dict[int, dict[str, tuple[int, int | None]]] = {}
         self._payload_bytes: dict[int, int] = {}    # session -> last seen wire payload size
         self.forwarding_table = ForwardingTable()
         self.buffers: dict[int, GenerationBuffer] = {}
-        # session -> generation -> relay state, one entry per generation
-        # the session's buffer holds; the buffer owns eviction and
-        # reports it (GenerationBuffer.last_evicted), so steady-state
-        # cost per packet does not depend on how many are buffered.
+        # session -> generation -> relay state / decoder, one entry per
+        # generation the session's buffer holds; the buffer owns
+        # eviction and reports it (GenerationBuffer.last_evicted), so
+        # steady-state cost per packet does not depend on how many are
+        # buffered.  The recoder's rows are the only stored copy of a
+        # relay's packets — the buffer keeps counts, not packets.
         self._relays: dict[int, dict[int, _RelayState]] = {}
-        self._decoders: dict[tuple[int, int], Decoder] = {}
+        self._decoders: dict[int, dict[int, Decoder]] = {}
         self._delivery: dict[int, Callable[[int, Generation], None]] = {}
 
         # Staged mid-session coding retunes (DESIGN.md §15): applied at
@@ -131,6 +133,7 @@ class CodingVnf(Node):
         self.corrupt_dropped = 0
         self.duplicate_dropped = 0
         self.stale_dropped = 0
+        self.malformed_dropped = 0
 
         self.listen(NC_PORT, self._on_data)
 
@@ -148,6 +151,8 @@ class CodingVnf(Node):
         self.configs[session_id] = config
         self.buffers[session_id] = GenerationBuffer(config.buffer_generations)
         self._relays.setdefault(session_id, {})
+        self._decoders.setdefault(session_id, {})
+        self._hop_shapes.setdefault(session_id, {})
         self._pending_retunes.pop(session_id, None)
         if deliver is not None:
             self._delivery[session_id] = deliver
@@ -200,11 +205,11 @@ class CodingVnf(Node):
         if skip_arrivals < 0 or (emit_per_generation is not None and emit_per_generation < 0):
             raise ValueError("shape parameters cannot be negative")
         if skip_arrivals == 0 and emit_per_generation is None:
-            self._hop_shapes.pop((session_id, next_hop), None)
+            self._hop_shapes.get(session_id, {}).pop(next_hop, None)
             for relay in self._relays.get(session_id, {}).values():
                 relay.hop_progress.pop(next_hop, None)
             return
-        self._hop_shapes[(session_id, next_hop)] = (skip_arrivals, emit_per_generation)
+        self._hop_shapes.setdefault(session_id, {})[next_hop] = (skip_arrivals, emit_per_generation)
 
     def emit_repair(self, session_id: int, generation_id: int, count: int) -> int:
         """Emit up to ``count`` fresh recodes of a buffered generation.
@@ -246,11 +251,9 @@ class CodingVnf(Node):
         self._pending_retunes.pop(session_id, None)
         self._delivery.pop(session_id, None)
         self._payload_bytes.pop(session_id, None)
-        for shape_key in [k for k in self._hop_shapes if k[0] == session_id]:
-            del self._hop_shapes[shape_key]
+        self._hop_shapes.pop(session_id, None)
         self._relays.pop(session_id, None)
-        for decoder_key in [k for k in self._decoders if k[0] == session_id]:
-            del self._decoders[decoder_key]
+        self._decoders.pop(session_id, None)
 
     def apply_forwarding_table(self, new_table: ForwardingTable) -> float:
         """Replace the forwarding table; returns the pause duration.
@@ -346,7 +349,7 @@ class CodingVnf(Node):
             # New generation: the buffer arbitrates first — a straggler
             # for an already-evicted generation is refused rather than
             # allowed to evict live state for a dead one.
-            if not buffer.add(generation_id, original):
+            if not buffer.add(generation_id):
                 self.stale_dropped += 1
                 return
             config = self._config_at_boundary(session_id)
@@ -357,6 +360,8 @@ class CodingVnf(Node):
                 field=config.galois_field,
                 rng=self._rng,
             )
+            recoder.add(original)
+            first = True
             if relay is None:
                 relay = relays[generation_id] = _RelayState(recoder)
             else:
@@ -366,24 +371,31 @@ class CodingVnf(Node):
                 relay.recoder = recoder
             if buffer.last_evicted is not None:
                 relays.pop(buffer.last_evicted, None)
-        elif not buffer.add(generation_id, original):
-            # A wire-duplicated copy adds no degree of freedom: emitting
-            # a recode for it would just burn downstream bandwidth.
-            self.duplicate_dropped += 1
-            return
         else:
             recoder = relay.recoder
-        first = recoder.buffered == 0
-        recoder.add(original)
-        hop_shapes = self._hop_shapes
+            try:
+                fresh = recoder.add(original)
+            except MalformedPacketError:
+                # Shaped unlike the generation it names: dropped before
+                # the buffer counts it, like a corrupt packet.
+                self.malformed_dropped += 1
+                return
+            if not buffer.add(generation_id, duplicate=not fresh):
+                # A wire-duplicated copy adds no degree of freedom: emitting
+                # a recode for it would just burn downstream bandwidth.
+                self.duplicate_dropped += 1
+                return
+            first = False
+        shapes = self._hop_shapes[session_id]
+        plan: list[tuple[str, bool]] = []  # (emitting hop, send a fresh recode?)
+        recodes = 0
         for hop in self.forwarding_table.next_hops(session_id):
-            shape = hop_shapes.get((session_id, hop))
+            shape = shapes.get(hop)
             if shape is None:
                 # Default pipelining: one packet out per packet in; the
                 # very first packet of a generation is forwarded verbatim.
-                out = original if first else recoder.recode()
-                self.emitted_packets += 1
-                self.send(hop, out, payload_bytes, dst_port=NC_PORT)
+                plan.append((hop, not first))
+                recodes += not first
                 continue
             skip, emit_cap = shape
             progress = relay.hop_progress.get(hop)
@@ -392,30 +404,49 @@ class CodingVnf(Node):
             progress[0] += 1
             if progress[0] > skip and (emit_cap is None or progress[1] < emit_cap):
                 progress[1] += 1
-                self.emitted_packets += 1
-                self.send(hop, recoder.recode(), payload_bytes, dst_port=NC_PORT)
+                plan.append((hop, True))
+                recodes += 1
+        # One draw and one product cover every hop that emits a recode.
+        fresh_recodes = iter(recoder.recode_batch(recodes))
+        for hop, recoded in plan:
+            self.emitted_packets += 1
+            self.send(hop, next(fresh_recodes) if recoded else original, payload_bytes, dst_port=NC_PORT)
 
     def _decode(self, packet: CodedPacket) -> None:
         header = packet.header
         session_id = header.session_id
-        key = (session_id, header.generation_id)
-        decoder = self._decoders.get(key)
-        if decoder is None:
-            config = self._config_at_boundary(session_id)
-            block_bytes = (
-                packet.payload.shape[0] if self.payload_mode == "coefficients-only" else config.block_bytes
-            )
-            decoder = Decoder(
-                session_id,
-                header.generation_id,
-                header.block_count,
-                block_bytes,
-                field=config.galois_field,
-            )
-            self._decoders[key] = decoder
+        generation_id = header.generation_id
+        buffer = self.buffers[session_id]
+        decoders = self._decoders[session_id]
+        decoder = decoders.get(generation_id)
+        if decoder is None or generation_id not in buffer:
+            # New generation: same arbitration as a relay's — FIFO over
+            # buffer_generations, and a straggler for an evicted
+            # generation is refused, not given a fresh decoder.
+            if not buffer.add(generation_id):
+                self.stale_dropped += 1
+                return
+            if decoder is None:
+                config = self._config_at_boundary(session_id)
+                block_bytes = (
+                    packet.payload.shape[0] if self.payload_mode == "coefficients-only" else config.block_bytes
+                )
+                decoder = decoders[generation_id] = Decoder(
+                    session_id,
+                    generation_id,
+                    header.block_count,
+                    block_bytes,
+                    field=config.galois_field,
+                )
+            if buffer.last_evicted is not None:
+                decoders.pop(buffer.last_evicted, None)
         if decoder.complete:
             return  # late redundant packet
-        decoder.add(packet)
+        try:
+            decoder.add(packet)
+        except MalformedPacketError:
+            self.malformed_dropped += 1
+            return
         if decoder.complete:
             self.decoded_generations += 1
             generation = decoder.decode()
@@ -436,7 +467,7 @@ class CodingVnf(Node):
         return self.scheduler.now < self._paused_until
 
     def decoder_state(self, session_id: int, generation_id: int) -> Decoder | None:
-        return self._decoders.get((session_id, generation_id))
+        return self._decoders.get(session_id, {}).get(generation_id)
 
 
 class VnfDispatcher(Node):

@@ -17,9 +17,9 @@ Two tiers of kernels live here:
   deliberately left untouched so the fast tier has something to be
   bit-compared against;
 - the table-driven batch kernels (:meth:`GaloisField.mul_table`,
-  :meth:`GaloisField.matmul`, :meth:`GaloisField.scale_into`,
-  :meth:`GaloisField.addmul_into`) run off a lazily-built full
-  multiplication table (a 256×256 byte array for GF(2^8); uint16 fields
+  :meth:`GaloisField.matmul`, :meth:`GaloisField.row_product`,
+  :meth:`GaloisField.scale_into`, :meth:`GaloisField.addmul_into`) run
+  off a lazily-built full multiplication table (a 256×256 byte array for GF(2^8); uint16 fields
   use a per-coefficient row cache instead, since a full table would be
   8 GiB) and are what the RLNC hot path actually calls.  One
   :meth:`~GaloisField.matmul` call codes a whole redundancy burst with a
@@ -294,20 +294,36 @@ class GaloisField:
             return out
         if self.w <= 8:
             # Flatten the 2-D table lookup into one `take`: the index of
-            # C[i,j] * B[j,l] in MUL.ravel() is C[i,j] * order + B[j,l].
-            # Converting to intp once up front keeps the gather itself a
-            # single pass with no per-element index coercion.
+            # C[i,j] * B[j,l] in MUL.ravel() is C[i,j] * order + B[j,l],
+            # at most order**2 - 1, so uint16 index arithmetic is exact
+            # and the (m, k, n) index temporary is a quarter of intp's.
             flat = self.MUL.reshape(-1)
-            b_idx = b.astype(np.intp)
-            c_idx = c.astype(np.intp) * self.order
+            c_idx = c.astype(np.uint16) * self.order
             step = max(1, self._MATMUL_CHUNK_ELEMS // max(1, k * n))
             for s in range(0, m, step):
-                indices = c_idx[s : s + step, :, None] + b_idx[None, :, :]
+                indices = c_idx[s : s + step, :, None] + b[None, :, :]
                 np.bitwise_xor.reduce(flat.take(indices), axis=1, out=out[s : s + step])
         else:
             for i in range(m):
                 np.bitwise_xor.reduce(self.mul_table(c[i], b), axis=0, out=out[i])
         return out
+
+    def row_product(self, weights: FieldArray, rows: FieldArray) -> FieldArray:
+        """One weight row times a matrix: ``weights @ rows``, shape (n,).
+
+        The m = 1 case of :meth:`matmul` — a relay's per-arrival recode
+        — for arrays already of the field's dtype: same flat-table
+        gather, none of the batch set-up (input coercion, zeroed output,
+        chunk loop), which outweighs the arithmetic for one short row.
+        """
+        if weights.ndim != 1 or rows.ndim != 2 or weights.shape[0] != rows.shape[0]:
+            raise ValueError(f"shape mismatch: {weights.shape} @ {rows.shape}")
+        if self.w > 8:
+            wide: FieldArray = np.bitwise_xor.reduce(self.mul_table(weights, rows), axis=0)
+            return wide
+        indices = (weights.astype(np.uint16) * self.order)[:, None] + rows
+        mixed: FieldArray = np.bitwise_xor.reduce(self.MUL.reshape(-1).take(indices), axis=0)
+        return mixed
 
     def scale_into(self, coeff: Coefficient, vec: FieldLike, out: FieldArray) -> FieldArray:
         """``out[...] = coeff * vec`` into a caller-owned buffer.

@@ -25,13 +25,14 @@ from repro.rlnc.decoder import Decoder
 from repro.rlnc.encoder import Encoder
 from repro.rlnc.generation import Generation, reassemble, segment
 from repro.rlnc.header import NCHeader
-from repro.rlnc.packet import CodedPacket
+from repro.rlnc.packet import CodedPacket, MalformedPacketError
 from repro.rlnc.recoder import Recoder
 from repro.rlnc.redundancy import RedundancyPolicy
 
 __all__ = [
     "NCHeader",
     "CodedPacket",
+    "MalformedPacketError",
     "Generation",
     "segment",
     "reassemble",

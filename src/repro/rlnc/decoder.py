@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.gf import GF256, GaloisField
 from repro.rlnc.generation import Generation
-from repro.rlnc.packet import CodedPacket
+from repro.rlnc.packet import CodedPacket, MalformedPacketError
 
 
 class Decoder:
@@ -84,9 +84,11 @@ class Decoder:
         coefficients = header.coefficients
         payload = packet.payload
         if coefficients.shape[0] != k:
-            raise ValueError("coefficient vector length does not match the decoder's block count")
+            raise MalformedPacketError("coefficient vector length does not match the decoder's block count")
         if payload.shape[0] != self.block_bytes:
-            raise ValueError(f"payload is {payload.shape[0]} bytes, decoder expects {self.block_bytes}")
+            raise MalformedPacketError(
+                f"payload is {payload.shape[0]} bytes, decoder expects {self.block_bytes}"
+            )
         self.received += 1
         field = self.field
         rows = self._rows

@@ -16,6 +16,13 @@ from repro.rlnc.header import (
 )
 
 
+class MalformedPacketError(ValueError):
+    """A packet's block count or payload length disagrees with the
+    generation state it names (hostile or confused sender): droppable
+    wire input, unlike the plain ``ValueError`` of a packet handed to
+    the wrong generation's state, which is a caller's bug."""
+
+
 @dataclass(eq=False)
 class CodedPacket:
     """One RLNC packet as it travels the data plane.

@@ -15,13 +15,18 @@ a generation verbatim (there is nothing yet to mix it with).
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from repro.gf import GF256, FieldArray, GaloisField
 from repro.rlnc.header import NCHeader
-from repro.rlnc.packet import CodedPacket
+from repro.rlnc.packet import CodedPacket, MalformedPacketError
 from repro.util.rng import derive_rng
 
+
+#: Duplicate-lookup key of one fused row.
+_row_digest = zlib.crc32
 
 class Recoder:
     """Recoding state for one (session, generation) at a relay VNF."""
@@ -41,72 +46,84 @@ class Recoder:
         self._rng = rng if rng is not None else derive_rng(
             "rlnc.recoder", session_id, generation_id
         )
-        # Buffered state lives in one pre-grown matrix whose rows are
-        # [coefficients | payload], so a recode is a single batch matmul
-        # over a contiguous slab — no per-emit stacking of Python lists.
+        # The relay's only copy of the generation: one pre-grown matrix
+        # whose rows are [coefficients | payload], so a recode is one
+        # product over a contiguous slab and no packet object is kept.
         self._rows: FieldArray | None = None
         self._payload_len = 0
         self._count = 0
+        # Row digest -> indices of the rows carrying it, one map per
+        # systematic flag (part of packet equality, not of the row).
+        self._digests: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
 
     @property
     def buffered(self) -> int:
         """Number of packets buffered for this generation."""
         return self._count
 
-    def add(self, packet: CodedPacket) -> None:
-        """Buffer a received coded packet."""
-        if packet.session_id != self.session_id or packet.generation_id != self.generation_id:
+    def add(self, packet: CodedPacket) -> bool:
+        """Buffer a received coded packet; False if it is a duplicate.
+
+        A duplicate equals (``CodedPacket.__eq__``) a packet already
+        buffered: it adds no degree of freedom and is not stored.  The
+        lookup is one digest of the fused row, and since a digest is
+        not the row, a hit is confirmed by comparing the rows.
+        """
+        header = packet.header
+        if header.session_id != self.session_id or header.generation_id != self.generation_id:
             raise ValueError(
-                f"packet for ({packet.session_id}, {packet.generation_id}) fed to recoder "
+                f"packet for ({header.session_id}, {header.generation_id}) fed to recoder "
                 f"for ({self.session_id}, {self.generation_id})"
             )
-        if packet.header.block_count != self.block_count:
-            raise ValueError(
-                f"block count mismatch: packet has {packet.header.block_count}, recoder expects {self.block_count}"
-            )
         k = self.block_count
-        if self._rows is None:
-            self._payload_len = int(packet.payload.shape[0])
-            self._rows = np.empty((8, k + self._payload_len), dtype=self.field.dtype)
-        if packet.payload.shape[0] != self._payload_len:
-            raise ValueError(
-                f"payload is {packet.payload.shape[0]} bytes, earlier packets had {self._payload_len}"
+        coefficients = header.coefficients
+        payload = packet.payload
+        if coefficients.shape[0] != k:
+            raise MalformedPacketError(
+                f"block count mismatch: packet has {coefficients.shape[0]}, recoder expects {k}"
             )
-        if self._count == self._rows.shape[0]:
-            grown = np.empty((2 * self._rows.shape[0], self._rows.shape[1]), dtype=self.field.dtype)
-            grown[: self._count] = self._rows[: self._count]
-            self._rows = grown
-        row = self._rows[self._count]
-        row[:k] = packet.coefficients
-        row[k:] = packet.payload
-        self._count += 1
+        rows = self._rows
+        if rows is None:
+            self._payload_len = int(payload.shape[0])
+            rows = self._rows = np.empty((8, k + self._payload_len), dtype=self.field.dtype)
+        if payload.shape[0] != self._payload_len:
+            raise MalformedPacketError(
+                f"payload is {payload.shape[0]} bytes, earlier packets had {self._payload_len}"
+            )
+        count = self._count
+        if count == rows.shape[0]:
+            grown = np.empty((2 * count, rows.shape[1]), dtype=self.field.dtype)
+            grown[:count] = rows
+            rows = self._rows = grown
+        row = rows[count]  # the free slot; kept only if the packet is new
+        row[:k] = coefficients
+        row[k:] = payload
+        holders = self._digests[header.systematic].setdefault(_row_digest(row), [])
+        for index in holders:
+            if np.array_equal(rows[index], row):
+                return False
+        holders.append(count)
+        self._count = count + 1
+        return True
 
-    def _combine(self, weights: FieldArray) -> list[CodedPacket]:
-        """Turn weight rows into packets via one batch matmul."""
-        assert self._rows is not None
+    def _packet(self, mixed: FieldArray) -> CodedPacket:
+        """Wrap one mixed ``[coefficients | payload]`` row as a packet."""
         k = self.block_count
-        mixed = self.field.matmul(weights, self._rows[: self._count])
-        return [
-            CodedPacket(
-                header=NCHeader(
-                    session_id=self.session_id,
-                    generation_id=self.generation_id,
-                    coefficients=mixed[i, :k],
-                    systematic=False,
-                ),
-                payload=mixed[i, k:],
-            )
-            for i in range(weights.shape[0])
-        ]
+        return CodedPacket(
+            NCHeader(self.session_id, self.generation_id, mixed[:k], False), mixed[k:]
+        )
 
     def recode(self) -> CodedPacket:
         """Emit one fresh combination of everything buffered so far."""
-        if not self._count:
+        count = self._count
+        if not count:
             raise RuntimeError("cannot recode before any packet has been buffered")
-        weights = self.field.random_elements(self._rng, self._count)
+        assert self._rows is not None
+        field = self.field
+        weights = field.random_elements(self._rng, count)
         if not weights.any():
-            weights[-1] = self.field.random_nonzero(self._rng, 1)[0]
-        return self._combine(weights[None, :])[0]
+            weights[-1] = field.random_nonzero(self._rng, 1)[0]
+        return self._packet(field.row_product(weights, self._rows[:count]))
 
     def recode_batch(self, count: int) -> list[CodedPacket]:
         """Emit ``count`` fresh combinations through one batch matmul.
@@ -121,8 +138,9 @@ class Recoder:
             raise ValueError("count must be non-negative")
         if not self._count:
             raise RuntimeError("cannot recode before any packet has been buffered")
-        if count == 0:
-            return []
+        if count <= 1:
+            return [self.recode()] if count else []
+        assert self._rows is not None
         state = self._rng.bit_generator.state
         weights = self.field.random_elements(self._rng, (count, self._count))
         if not weights.any(axis=1).all():
@@ -132,7 +150,8 @@ class Recoder:
                 if not row.any():
                     row[-1] = self.field.random_nonzero(self._rng, 1)[0]
                 weights[i] = row
-        return self._combine(weights)
+        mixed = self.field.matmul(weights, self._rows[: self._count])
+        return [self._packet(row) for row in mixed]
 
     def on_packet(self, packet: CodedPacket) -> CodedPacket:
         """Pipelined relay policy: buffer, then emit.

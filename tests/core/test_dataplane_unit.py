@@ -51,8 +51,8 @@ class TestConstruction:
         graph, session, plan = solved
         live = build_data_plane(plan, graph, [session])
         sid = session.session_id
-        assert (sid, "V2") in live.vnfs["T"][0]._hop_shapes
-        assert not live.vnfs["O1"][0]._hop_shapes  # 1:1 relay, no shaping
+        assert "V2" in live.vnfs["T"][0]._hop_shapes[sid]
+        assert not live.vnfs["O1"][0]._hop_shapes[sid]  # 1:1 relay, no shaping
 
     def test_source_shares_scaled(self, solved):
         graph, session, plan = solved

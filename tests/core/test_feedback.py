@@ -360,9 +360,9 @@ class TestHopShapeClearing:
         session = make_session()
         relay.configure_session(session.session_id, VnfRole.RECODER, session.coding)
         relay.set_hop_shape(session.session_id, "dst", 2)
-        assert (session.session_id, "dst") in relay._hop_shapes
+        assert "dst" in relay._hop_shapes[session.session_id]
         relay.set_hop_shape(session.session_id, "dst", 0)
-        assert (session.session_id, "dst") not in relay._hop_shapes
+        assert "dst" not in relay._hop_shapes[session.session_id]
 
     def test_cleared_shape_restores_default_pipelining(self, rng):
         topo, relay = relay_topology(rng)

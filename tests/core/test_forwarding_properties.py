@@ -39,16 +39,25 @@ def test_diff_is_symmetric(a, b):
 
 @given(
     capacity=st.integers(min_value=1, max_value=16),
-    operations=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=200),
+    operations=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), st.booleans()), min_size=1, max_size=200
+    ),
 )
 @settings(max_examples=60, deadline=None)
 def test_buffer_never_exceeds_capacity(capacity, operations):
     buf = GenerationBuffer(capacity)
-    for gen_id in operations:
-        buf.add(gen_id, object())
+    accepted = []
+    for gen_id, duplicate in operations:
+        # Only a live generation can hold the packet a duplicate repeats.
+        if buf.add(gen_id, duplicate=duplicate and gen_id in buf):
+            accepted.append(gen_id)
         assert len(buf) <= capacity
-    # Stored packet count is consistent with the per-generation lists.
-    assert buf.stored_packets == sum(len(buf.packets(g)) for g in buf.generations())
+    # The stored count is the accepted arrivals of the live generations,
+    # and releasing them one by one hands exactly that back.
+    live = set(buf.generations())
+    assert buf.stored_packets == sum(g in live for g in accepted)
+    assert sum(buf.release(g) for g in live) == sum(g in live for g in accepted)
+    assert buf.stored_packets == 0
 
 
 @given(
@@ -65,7 +74,7 @@ def test_buffer_keeps_most_recent_insertions(capacity, gen_ids):
     expected = []
     highest_evicted = -1
     for g in gen_ids:
-        accepted = buf.add(g, "p")
+        accepted = buf.add(g)
         if g <= highest_evicted:
             assert not accepted
             continue

@@ -2,8 +2,8 @@
 
 ``GaloisField.mul`` (log/antilog) is the property-tested reference
 implementation; the full-table gather kernels added for the data-plane
-fast path (``MUL``, ``mul_table``, ``matmul``, ``scale_into``,
-``addmul_into``) must be bit-identical to it.  Scalar coverage is
+fast path (``MUL``, ``mul_table``, ``matmul``, ``row_product``,
+``scale_into``, ``addmul_into``) must be bit-identical to it.  Scalar coverage is
 exhaustive (all 256x256 pairs for GF(2^8), all 16x16 for GF(2^4));
 matrix shapes and contents are driven by Hypothesis across all three
 supported fields.
@@ -117,6 +117,34 @@ class TestMatrixKernels:
         coeffs = np.zeros((m, 0), dtype=field.dtype)
         blocks = np.zeros((0, n), dtype=field.dtype)
         assert np.array_equal(field.matmul(coeffs, blocks), np.zeros((m, n), dtype=field.dtype))
+
+    @given(name=field_st, seed=seed_st, k=dims, n=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_row_product_matches_oracle(self, name, seed, k, n):
+        """The relay's single-row product, n = 1 and empty payloads included."""
+        field = FIELDS[name]
+        rng = np.random.default_rng(seed)
+        weights = random_matrix(field, rng, k)
+        rows = random_matrix(field, rng, (k, n))
+        mixed = field.row_product(weights, rows)
+        assert mixed.dtype == field.dtype and mixed.shape == (n,)
+        assert np.array_equal(mixed, field.linear_combination(weights, rows))
+        assert np.array_equal(mixed, field.matmul(weights[None, :], rows)[0])
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_row_product_edge_rows(self, name):
+        field = FIELDS[name]
+        rows = random_matrix(field, np.random.default_rng(3), (5, 12))
+        top = field.order - 1
+        for weights in ([0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [top, top, top, top, top]):
+            weights = np.asarray(weights, dtype=field.dtype)
+            assert np.array_equal(field.row_product(weights, rows), field.linear_combination(weights, rows))
+        none = np.zeros(0, dtype=field.dtype)
+        assert np.array_equal(field.row_product(none, rows[:0]), np.zeros(12, dtype=field.dtype))
+        with pytest.raises(ValueError):
+            field.row_product(np.zeros(4, dtype=field.dtype), rows)
+        with pytest.raises(ValueError):
+            field.row_product(np.zeros((1, 5), dtype=field.dtype), rows)
 
     def test_matmul_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

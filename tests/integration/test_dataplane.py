@@ -46,7 +46,7 @@ class TestButterflyEndToEnd:
         # T merges two incoming flows: it must be a recoder with shaping.
         t_vnfs = live.vnfs["T"]
         assert all(v.roles[session.session_id].value == "recoder" for v in t_vnfs)
-        assert any(v._hop_shapes for v in t_vnfs)
+        assert any(shapes for v in t_vnfs for shapes in v._hop_shapes.values())
 
     def test_receivers_registered(self, outcome):
         session, _, live = outcome

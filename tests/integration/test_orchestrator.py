@@ -46,7 +46,7 @@ class TestSignalChain:
     def test_shapes_configured_by_signal(self, orchestration):
         session, deployed = orchestration
         t = deployed.deployment.vnfs["T"][0]
-        assert (session.session_id, "V2") in t._hop_shapes
+        assert "V2" in t._hop_shapes[session.session_id]
 
     def test_tables_configured_by_signal(self, orchestration):
         session, deployed = orchestration

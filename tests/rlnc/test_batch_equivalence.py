@@ -87,6 +87,28 @@ class TestRecoderBatch:
             seq_rec.add(packet)
         packets_equal(batch_rec.recode_batch(count), [seq_rec.recode() for _ in range(count)])
 
+    @given(
+        seed=seed_st,
+        field=st.sampled_from(["GF16", "GF256"]),
+        hops=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fanout_batch_matches_one_recode_per_hop(self, seed, field, hops):
+        """A relay's per-arrival fan-out: after every ``add``, one
+        ``recode_batch(hops)`` equals ``hops`` single-row ``recode()``
+        calls, packet for packet and draw for draw — over GF(2^4) too,
+        where an all-zero weight row (and the batch's rewind) is common
+        while few rows are buffered."""
+        field = GF16 if field == "GF16" else GF256
+        gen = make_generation(seed, field, 4, 24)
+        feed = Encoder(3, gen, field=field, rng=np.random.default_rng(seed)).next_packets(7)
+        batch_rec = Recoder(3, 0, 4, field=field, rng=np.random.default_rng(seed + 1))
+        seq_rec = Recoder(3, 0, 4, field=field, rng=np.random.default_rng(seed + 1))
+        for packet in feed:
+            assert batch_rec.add(packet) == seq_rec.add(packet)
+            packets_equal(batch_rec.recode_batch(hops), [seq_rec.recode() for _ in range(hops)])
+        assert batch_rec._rng.bit_generator.state == seq_rec._rng.bit_generator.state
+
     @given(seed=seed_st)
     @settings(max_examples=20, deadline=None)
     def test_recoded_effective_coefficients_are_consistent(self, seed):
