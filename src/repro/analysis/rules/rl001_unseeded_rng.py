@@ -7,6 +7,11 @@ flags everything else:
 
 - ``np.random.default_rng()`` with no seed argument (including use as a
   ``default_factory=``),
+- ``np.random.default_rng(<anything>)``: a bare seeded generator is
+  reproducible but not *private* — two components seeded with the same
+  integer read the same word sequence (the butterfly's link losses and
+  coefficient vectors once did) — so streams are derived by key,
+  ``derive_rng(scope, node, seed=seed)``,
 - any call into the stdlib :mod:`random` module (its global state is
   process-seeded),
 - ``random.Random()`` without a seed,
@@ -61,7 +66,7 @@ _HELPER_SUFFIX = ("util", "rng.py")
 class UnseededRngRule(ModuleRule):
     rule_id = "RL001"
     name = "unseeded-rng"
-    description = "unseeded default_rng()/random.*/wall-clock call in simulator code"
+    description = "bare default_rng(...)/random.*/wall-clock call in simulator code"
 
     def applies_to(self, module: SourceModule) -> bool:
         if module.path.parts[-2:] == _HELPER_SUFFIX:
@@ -95,6 +100,13 @@ class UnseededRngRule(ModuleRule):
                     node,
                     module,
                     "np.random.default_rng() without a seed: thread repro.util.rng.derive_rng(...) instead",
+                )
+            else:
+                yield self._finding(
+                    node,
+                    module,
+                    "bare seeded np.random.default_rng(...): derive a keyed stream with "
+                    "derive_rng(..., seed=seed); two components seeded with one int alias",
                 )
             return
         if qualified.startswith("numpy.random.") and qualified.count(".") == 2:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import networkx as nx
-import numpy as np
 
 from repro.apps.file_transfer import NcReceiverApp, NcSourceApp
 from repro.core.deployment import DeploymentPlan
@@ -36,6 +35,7 @@ from repro.core.session import MulticastSession
 from repro.core.vnf import CodingVnf, VnfDispatcher, VnfRole
 from repro.net.events import EventScheduler
 from repro.net.topology import LinkSpec, Topology
+from repro.util.rng import derive_rng
 
 CONTROL_LINK_MBPS = 5.0
 
@@ -115,7 +115,9 @@ def build_data_plane(
     if not 0 < rate_fraction <= 1.0:
         raise ValueError("rate_fraction must be in (0, 1]")
     sessions_by_id = {s.session_id: s for s in sessions}
-    rng = np.random.default_rng(seed)
+    # Links are keyed children of this root; every VNF instance and every
+    # session's source derives its own stream (DESIGN §10 "Random streams").
+    rng = derive_rng("core.dataplane", seed=seed)
     topo = Topology(rng=rng) if scheduler is None else Topology(scheduler=scheduler, rng=rng)
 
     # -- which links the plan actually uses --------------------------------
@@ -143,10 +145,10 @@ def build_data_plane(
                 name,
                 topo.scheduler,
                 coding_capacity_mbps=vnf_coding_mbps,
-                rng=rng,
+                rng=derive_rng("core.dataplane", "vnf", name, instance, seed=seed),
                 payload_mode=payload_mode,
             )
-            for _ in range(count)
+            for instance in range(count)
         ]
         deployment.vnfs[name] = instances
         if count == 1:
@@ -231,6 +233,6 @@ def build_data_plane(
                 link_shares=source_shares,
                 data_rate_mbps=max(plan.lambdas.get(sid, 0.0) * rate_fraction, 1e-3),
                 payload_mode=payload_mode,
-                rng=rng,
+                rng=derive_rng("core.dataplane", "source", sid, seed=seed),
             )
     return deployment

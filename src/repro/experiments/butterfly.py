@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import networkx as nx
-import numpy as np
 
 from repro.apps.file_transfer import (
     NcReceiverApp,
@@ -60,6 +59,7 @@ from repro.net.topology import LinkSpec, Topology
 from repro.rlnc.redundancy import RedundancyPolicy
 from repro.routing.maxflow import multicast_capacity
 from repro.routing.packing import tree_packing_solution
+from repro.util.rng import derive_rng
 
 SOURCE = "V1"
 RECEIVERS = ("O2", "C2")
@@ -134,6 +134,8 @@ def routing_only_capacity_mbps() -> float:
 DEFAULT_JITTER_S = 0.003  # Internet-realistic per-packet delay variation
 
 
+# Random streams (DESIGN §10): "experiments.butterfly" alone keys the
+# topology (links are its children), + ("vnf" | "source", node) the rest.
 def build_butterfly(
     loss_on_bottleneck: LossModel | None = None,
     include_direct_links: bool = False,
@@ -142,7 +144,7 @@ def build_butterfly(
     seed: int = 1,
 ) -> Topology:
     """Instantiate the butterfly as a live simulated topology."""
-    topo = Topology(rng=np.random.default_rng(seed))
+    topo = Topology(rng=derive_rng("experiments.butterfly", seed=seed))
     for name in (SOURCE, *RELAYS, *RECEIVERS):
         topo.add_node(name)
     for edge, cap in BUTTERFLY_LINKS_MBPS.items():
@@ -253,7 +255,7 @@ def _install_control_path(topo: Topology) -> None:
 def deploy_relays(
     topo: Topology,
     session: MulticastSession,
-    rng: np.random.Generator,
+    seed: int,
     payload_mode: str,
     role: VnfRole = VnfRole.RECODER,
     tables: dict | None = None,
@@ -263,13 +265,14 @@ def deploy_relays(
     """Swap a configured coding VNF in for every relay host.
 
     One VNF per entry of ``tables`` (default: the max-flow NC tables),
-    built in table order off the shared ``rng``, configured for the
-    session in ``role``, then given its forwarding table and any
-    ``hop_shapes``.  Returns relay name -> VNF.
+    each coding off its own ``("vnf", name)`` stream of ``seed``,
+    configured for the session in ``role``, then given its forwarding
+    table and any ``hop_shapes``.  Returns relay name -> VNF.
     """
     tables = _nc_forwarding_tables(session.session_id) if tables is None else tables
     relays = {}
     for name in tables:
+        rng = derive_rng("experiments.butterfly", "vnf", name, seed=seed)
         vnf = CodingVnf(
             name, topo.scheduler, coding_capacity_mbps=coding_mbps, rng=rng, payload_mode=payload_mode
         )
@@ -306,13 +309,12 @@ def run_butterfly_nc(
     """
     redundancy = redundancy if redundancy is not None else RedundancyPolicy(0)
     topo = build_butterfly(loss_on_bottleneck=loss_on_bottleneck, jitter_s=jitter_s, seed=seed)
-    rng = np.random.default_rng(seed)
     session = _make_session(blocks_per_generation, buffer_generations, redundancy)
 
     deploy_relays(
         topo,
         session,
-        rng,
+        seed,
         payload_mode,
         hop_shapes=_nc_hop_shapes(blocks_per_generation, redundancy.extra),
         coding_mbps=vnf_coding_mbps,
@@ -336,7 +338,7 @@ def run_butterfly_nc(
         link_shares=_nc_source_shares(rate_mbps, blocks_per_generation, redundancy.extra),
         data_rate_mbps=rate_mbps,
         payload_mode=payload_mode,
-        rng=rng,
+        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
         window_generations=window_generations,
     )
     source.start()
@@ -367,7 +369,7 @@ def run_butterfly_non_nc(
     if mode not in ("striped", "flooding"):
         raise ValueError("mode must be 'striped' or 'flooding'")
     topo = build_butterfly(loss_on_bottleneck=loss_on_bottleneck, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = derive_rng("experiments.butterfly", "source", SOURCE, seed=seed)
     session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
 
     if mode == "striped":
@@ -400,7 +402,7 @@ def run_butterfly_non_nc(
         )
     else:
         # Flooding: the NC topology with coding switched off.
-        deploy_relays(topo, session, rng, payload_mode, role=VnfRole.FORWARDER)
+        deploy_relays(topo, session, seed, payload_mode, role=VnfRole.FORWARDER)
         if rate_mbps is None:
             rate_mbps = LINK_MBPS  # T->V2 must carry every block once
         reliability = window_generations is not None
@@ -433,12 +435,11 @@ def run_butterfly_non_nc(
 
 def run_direct_tcp(duration_s: float = 40.0, loss_rate: float = DIRECT_LOSS_RATE, seed: int = 7) -> dict:
     """Direct TCP baseline: per-receiver AIMD mean throughput (Mbps)."""
-    rng = np.random.default_rng(seed)
     out = {}
     for (src, dst), (cap, delay_ms) in DIRECT_LINKS.items():
         rtt = 2 * delay_ms / 1e3
         sim = TcpAimdSimulator(capacity_mbps=cap, rtt_s=rtt, loss_rate=loss_rate)
-        out[dst] = sim.run(duration_s, rng)["mean_mbps"]
+        out[dst] = sim.run(duration_s, derive_rng("experiments.butterfly", "tcp", dst, seed=seed))["mean_mbps"]
     out["session"] = min(v for k, v in out.items() if k != "session")
     return out
 
@@ -484,11 +485,10 @@ def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: i
     from repro.apps.file_transfer import ACK_PORT
 
     topo = build_butterfly(seed=seed)
-    rng = np.random.default_rng(seed)
     session = _make_session(4, 1024, RedundancyPolicy(0))
     chain = {name: ForwardingTable({session.session_id: [nxt]}) for name, nxt in zip(path[1:-1], path[2:])}
     deploy_relays(
-        topo, session, rng, payload_mode, role=VnfRole.RECODER if coding else VnfRole.FORWARDER, tables=chain
+        topo, session, seed, payload_mode, role=VnfRole.RECODER if coding else VnfRole.FORWARDER, tables=chain
     )
 
     receiver_name = path[-1]
@@ -515,7 +515,7 @@ def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: i
         link_shares={path[1]: 5.0},
         data_rate_mbps=5.0,  # a single unloaded generation
         payload_mode=payload_mode,
-        rng=rng,
+        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
         total_generations=1,
         enable_control=False,  # the test harness owns the ACK port here
     )

@@ -32,6 +32,7 @@ from repro.core.deployment import DataCenterSpec
 from repro.core.scaling import ScalingConfig, ScalingEngine
 from repro.core.session import MulticastSession
 from repro.net.events import EventScheduler
+from repro.util.rng import derive_rng
 
 SIX_DATACENTERS = ["oregon", "california", "virginia", "texas", "georgia", "newjersey"]
 EC2_REGIONS = {"oregon", "california", "virginia"}
@@ -178,7 +179,6 @@ def make_controller(
 ) -> Controller:
     """A controller over the six-DC world, with simulated cloud providers."""
     scheduler = scheduler if scheduler is not None else EventScheduler()
-    rng = np.random.default_rng(seed)
     providers = {}
     if with_providers:
         for name in SIX_DATACENTERS:
@@ -188,7 +188,7 @@ def make_controller(
                 scheduler,
                 [DataCenter(name)],
                 launch_latency=latency,
-                rng=rng,
+                rng=derive_rng("experiments.dynamic", "provider", name, seed=seed),
             )
     return Controller(
         graph,
@@ -236,7 +236,7 @@ class DynamicScenario:
     )
 
     def __post_init__(self):
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = derive_rng("experiments.dynamic", "world", seed=self.seed)
         self.samples: list[ScenarioSample] = []
         # Ground-truth per-DC caps; the controller's belief lags behind
         # by the measurement interval plus the Alg. 1 hold time τ1.
@@ -357,7 +357,7 @@ def lmax_sweep(
     The same sessions and the same graph are re-solved per L^max, as in
     §V-C3 ("retaining six sessions ... disabling the scaling algorithm").
     """
-    rng = np.random.default_rng(seed)
+    rng = derive_rng("experiments.dynamic", "world", seed=seed)
     specs = generate_sessions(n_sessions, rng, max_delay_ms=max(lmax_values_ms))
     graph = build_six_dc_graph(specs, rng)
     out = {"lmax_ms": [], "throughput_mbps": [], "vnfs": []}
@@ -385,7 +385,7 @@ def alpha_sweep(
     seed: int = 3,
 ) -> dict:
     """Throughput and VNF count as the cost factor α grows."""
-    rng = np.random.default_rng(seed)
+    rng = derive_rng("experiments.dynamic", "world", seed=seed)
     specs = generate_sessions(n_sessions, rng, max_delay_ms=max_delay_ms)
     graph = build_six_dc_graph(specs, rng)
     out = {"alpha": [], "throughput_mbps": [], "vnfs": []}

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-import numpy as np
-
 from repro.apps.file_transfer import (
     ControlRelay,
     NcReceiverApp,
@@ -61,6 +59,7 @@ from repro.experiments.butterfly import (
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.net.events import PeriodicEvent
 from repro.rlnc.redundancy import RedundancyPolicy
+from repro.util.rng import derive_rng
 
 #: Post-recovery margins, expressed at the 35 Mbps butterfly link so the
 #: headline numbers stay readable.  The LP optimum on any single-corpse
@@ -165,12 +164,11 @@ def run_butterfly_failover(
     if fail_node not in RELAYS:
         raise ValueError(f"fail_node must be one of {RELAYS}")
     topo = build_butterfly(jitter_s=0.0, seed=seed)
-    rng = np.random.default_rng(seed)
     session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
     bus = SignalBus(topo.scheduler, latency_s=bus_latency_s)
 
     static_shapes = _nc_hop_shapes(blocks_per_generation, 0)
-    relays = deploy_relays(topo, session, rng, payload_mode, hop_shapes=static_shapes)
+    relays = deploy_relays(topo, session, seed, payload_mode, hop_shapes=static_shapes)
 
     # Control plane: one daemon per relay, emitting heartbeats.  The
     # data plane was configured directly above, so the coding function
@@ -220,7 +218,7 @@ def run_butterfly_failover(
         link_shares=_nc_source_shares(rate_mbps, blocks_per_generation, 0),
         data_rate_mbps=rate_mbps,
         payload_mode=payload_mode,
-        rng=rng,
+        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
         window_generations=window_generations,
         total_generations=total_generations,
     )
@@ -411,7 +409,7 @@ def run_fleet_failover(
     """Kill one in-use VM; measure detection and fleet-repair MTTR."""
     from repro.experiments.dynamic import generate_sessions, build_six_dc_graph, make_controller, _make_session as _mk
 
-    rng = np.random.default_rng(seed)
+    rng = derive_rng("experiments.dynamic", "world", seed=seed)
     specs = generate_sessions(n_sessions, rng)
     graph = build_six_dc_graph(specs, rng)
     controller: Controller = make_controller(graph, seed=seed)

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-import numpy as np
-
 from repro.adapt.controller import AdaptiveRedundancyController, AdaptPolicy
 from repro.adapt.reporter import LinkReporter, receiver_probe
 from repro.apps.file_transfer import ControlRelay, NcReceiverApp, NcSourceApp
@@ -208,11 +206,11 @@ def _wire_shares(preset: ScenarioPreset, config: CodingConfig) -> dict:
 
 def build_chain(preset: ScenarioPreset, loss: float, seed: int) -> Topology:
     """The preset's chain topology with per-hop burst loss installed."""
-    topo = Topology(rng=derive_rng("experiments.scenarios", preset.name, seed))
+    topo = Topology(rng=derive_rng("experiments.scenarios", preset.name, seed=seed))
     per_hop = preset.per_hop_loss(loss)
     topo.add_node(preset.source)
-    rng = np.random.default_rng(seed)
     for name in preset.relays:
+        rng = derive_rng("experiments.scenarios", preset.name, "vnf", name, seed=seed)
         topo.add_node(
             CodingVnf(name, topo.scheduler, payload_mode="coefficients-only", rng=rng)
         )
@@ -301,7 +299,7 @@ def run_scenario(
         link_shares=_wire_shares(preset, config),
         data_rate_mbps=preset.data_rate_mbps,
         payload_mode="coefficients-only",
-        rng=np.random.default_rng(seed + 1),
+        rng=derive_rng("experiments.scenarios", preset.name, "source", preset.source, seed=seed),
         window_generations=preset.window_generations,
     )
 

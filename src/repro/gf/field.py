@@ -29,6 +29,7 @@ Two tiers of kernels live here:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Union
 
 import numpy as np
@@ -75,6 +76,8 @@ class GaloisField:
         self.order = 1 << w
         self.poly = _PRIMITIVE_POLY[w]
         self.dtype = np.uint8 if w <= 8 else np.uint16
+        self._lanes = 8 if w <= 8 else 4  # random_elements(): elements per raw 64-bit word
+        self._lane_shift = 64 // self._lanes - w  # a lane wider than the field keeps its top w bits
         self._mul_full: FieldArray | None = None
         self._mul_rows_cache: dict[int, FieldArray] = {}
         self._inv_ints: list[int] | None = None
@@ -370,8 +373,24 @@ class GaloisField:
     # -- randomness ---------------------------------------------------
 
     def random_elements(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FieldArray:
-        """Uniform random field elements (zero included)."""
-        return rng.integers(0, self.order, size=size, dtype=np.uint32).astype(self.dtype)
+        """Uniform random field elements (zero included), read off raw words.
+
+        A row of ``n`` elements is ``ceil(n / lanes)`` outputs of
+        ``bit_generator.random_raw`` viewed as the field's dtype (host
+        byte order; the top ``w`` bits of a lane for a sub-byte field),
+        tail lanes dropped.  Rows start on word boundaries, so a
+        ``(rows, n)`` draw equals ``rows`` successive ``n``-element draws,
+        and ``random_raw`` keeps no buffer, so rewinding
+        ``bit_generator.state`` replays a draw exactly.
+        """
+        if isinstance(size, tuple):
+            *lead, n = size
+            width = -(-n // self._lanes) * self._lanes
+            raw = rng.bit_generator.random_raw(math.prod(lead) * width // self._lanes)
+            out = np.ascontiguousarray(raw.view(self.dtype).reshape(*lead, width)[..., :n])
+        else:  # one row: the per-packet draw, kept free of shape arithmetic
+            out = rng.bit_generator.random_raw(-(-size // self._lanes)).view(self.dtype)[:size]
+        return out >> self._lane_shift if self._lane_shift else out
 
     def random_nonzero(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FieldArray:
         """Uniform random nonzero field elements."""

@@ -233,7 +233,7 @@ class Link:
             # duplicates reorder against their originals; reordering
             # across packets is the point (the Fig. 5 buffer study
             # depends on it).
-            delay += float(self._rng.uniform(0.0, self.jitter_s))
+            delay += self.jitter_s * self._rng.random()
         self.scheduler.schedule(delay, self._arrive, dgram, epoch)
 
     def _arrive(self, dgram: Datagram, epoch: int) -> None:

@@ -29,7 +29,7 @@ from repro.net.events import EventScheduler
 from repro.net.link import Link
 from repro.net.loss import LossModel
 from repro.net.node import Host, Node
-from repro.util.rng import derive_rng
+from repro.util.rng import child_rng, derive_rng
 
 
 @dataclass
@@ -95,7 +95,7 @@ class Topology:
             delay_s=spec.delay_s,
             loss=spec.loss,
             queue_bytes=spec.queue_bytes,
-            rng=self.rng,
+            rng=child_rng(self.rng, spec.src, spec.dst),
             jitter_s=spec.jitter_s,
         )
         src.attach_out(link)

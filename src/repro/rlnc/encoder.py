@@ -122,9 +122,10 @@ class Encoder:
         call and the payloads come from one :meth:`GaloisField.matmul` —
         this is the data-plane fast path for redundancy bursts and
         repair emission.  It is bit-identical to ``count`` sequential
-        :meth:`next_packet` calls: numpy fills bounded-integer batches
-        element-by-element from the same bit stream, and when a batch
-        contains an all-zero coefficient row (whose inline resample
+        :meth:`next_packet` calls: ``random_elements`` starts every row
+        of a batch on a generator-word boundary, exactly where the next
+        single-row draw would start, and when a batch contains an
+        all-zero coefficient row (whose inline resample
         would shift the stream) the generator is rewound and the burst
         replayed draw-for-draw.
         """

@@ -18,12 +18,16 @@ randomness:
   component constructed twice sees identical randomness regardless of
   construction order elsewhere in the run.
 
+- :func:`child_rng` keys a child under an existing generator's seeding
+  (each link is ``child_rng(topology.rng, src, dst)``).
+
 Component constructors keep their ``rng: np.random.Generator | None``
 parameter; an explicitly passed generator always wins.  Only the
 ``None`` fallback changed: it now threads the global seed instead of
 pulling OS entropy.  The RL001 lint rule (``repro.analysis``) keeps it
-that way by flagging any ``np.random.default_rng()`` call with no seed
-argument anywhere else under ``src/repro``.
+that way by flagging any ``np.random.default_rng(...)`` call, seeded or
+not, anywhere else under ``src/repro``: two components seeded with the
+same integer read the *same* word sequence.
 """
 
 from __future__ import annotations
@@ -83,3 +87,20 @@ def derive_rng(*key: KeyPart, seed: int | None = None) -> np.random.Generator:
     base = get_global_seed() if seed is None else int(seed)
     entropy = [base] + [_key_word(part) for part in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def child_rng(parent: np.random.Generator, *key: KeyPart) -> np.random.Generator:
+    """An independent stream keyed under ``parent``'s seed sequence.
+
+    ``key`` extends the parent's spawn key, so the child depends on how
+    the parent was *seeded* and on ``key`` only — not on what the parent
+    has drawn or which siblings exist — and the parent is left untouched.
+    """
+    if not key:
+        raise ValueError("child_rng needs at least one key component")
+    bit_generator = parent.bit_generator  # .seed_seq is public from NumPy 1.25 only
+    seq = getattr(bit_generator, "seed_seq", None) or bit_generator._seed_seq
+    if not isinstance(seq, np.random.SeedSequence):
+        raise TypeError(f"child_rng needs a SeedSequence-seeded parent, got {type(seq).__name__}")
+    spawn_key = (*seq.spawn_key, *map(_key_word, key))
+    return np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=spawn_key))

@@ -1,5 +1,6 @@
 """RL001 fixtures: unseeded randomness and wall-clock reads."""
 
+from repro.analysis import analyze_paths
 from tests.analysis.helpers import active_ids, lint
 
 SELECT = ["RL001"]
@@ -29,6 +30,23 @@ class TestFires:
             select=SELECT,
         )
         assert active_ids(findings) == ["RL001"]
+
+    def test_bare_seeded_default_rng_in_package(self):
+        findings = lint(
+            """
+            import numpy as np
+
+            def build(seed):
+                links = np.random.default_rng(seed)
+                coding = np.random.default_rng(seed)  # same words as the links
+                spawned = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+                return links, coding, spawned
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001", "RL001", "RL001"]
+        assert "derive_rng(..., seed=seed)" in findings[0].message
+        assert "alias" in findings[0].message
 
     def test_legacy_numpy_global_state(self):
         findings = lint(
@@ -94,11 +112,27 @@ class TestFires:
 
 class TestClean:
     def test_seeded_default_rng(self):
+        # Tests, benchmarks and the helper module build seeded generators
+        # freely; only simulator code must derive its streams by key.
+        for path in ("tests/conftest.py", "bench/workloads.py", "src/repro/util/rng.py"):
+            assert lint(
+                """
+                import numpy as np
+
+                rng = np.random.default_rng(42)
+                """,
+                path=path,
+                select=SELECT,
+            ) == []
+
+    def test_derived_streams(self):
         assert lint(
             """
-            import numpy as np
+            from repro.util.rng import child_rng, derive_rng
 
-            rng = np.random.default_rng(42)
+            def build(seed, src, dst):
+                root = derive_rng("experiments.demo", seed=seed)
+                return child_rng(root, src, dst), derive_rng("experiments.demo", "vnf", "T", seed=seed)
             """,
             select=SELECT,
         ) == []
@@ -175,3 +209,12 @@ class TestSuppression:
             select=SELECT,
         )
         assert active_ids(findings) == ["RL001"]
+
+
+class TestRealTree:
+    def test_full_src_tree_is_closed(self):
+        # Every generator under src/repro comes out of repro.util.rng:
+        # the 14 bare ``default_rng(seed)`` sites of the experiment
+        # builders went with the random-stream migration.
+        result = analyze_paths(["src/repro"], select=SELECT)
+        assert result.active == []

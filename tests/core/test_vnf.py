@@ -256,11 +256,13 @@ class TestBoundedRelayState:
     """Relay state is one record per *buffered* generation, whatever
     the stream length; the buffer's eviction report keeps it so."""
 
-    #: drive_bounded_relay(default_rng(12345)) at the commit before the
-    #: relay-state rewrite (set-diff eviction, (session, hop, generation)
-    #: progress keys): the emitted (generation, coefficients, payload)
-    #: sequence must not move.
-    PARENT_DIGEST = "1b4012758f751d7c86f1090b954a4bb3a580058ef45a3a56f15305b9b400602d"
+    #: drive_bounded_relay(default_rng(12345)): the emitted (generation,
+    #: coefficients, payload) sequence must not move.  Held since the
+    #: commit before the relay-state rewrite (set-diff eviction,
+    #: (session, hop, generation) progress keys); re-pinned once, at the
+    #: random-stream migration (DESIGN §10 "Random streams": raw-word
+    #: coefficient draws, a private stream per link), from 1b401275….
+    PARENT_DIGEST = "38fc14ca1c86822f247af75625671c73ce214b6831f7050ffbf3e2ec84e78d0a"
 
     def test_state_tracks_the_buffer_and_output_is_unchanged(self, rng):
         def bounded(relay):
@@ -396,19 +398,21 @@ FANOUTS = {
 
 
 class TestRelayBitIdentity:
-    """Recorded at the commit before the one-row-store relay (packets
-    kept in ``GenerationBuffer`` buckets, one ``recode()`` per hop):
-    who stores a relay's rows and how many kernel calls mix them is
-    simulator speed, so every emitted packet and counter must hold."""
+    """Who stores a relay's rows and how many kernel calls mix them is
+    simulator speed, so every emitted packet and counter must hold.
+    Held since the commit before the one-row-store relay (packets kept
+    in ``GenerationBuffer`` buckets, one ``recode()`` per hop);
+    re-pinned once, at the random-stream migration (DESIGN §10 "Random
+    streams"), the one commit allowed to move them."""
 
-    CHAIN_DIGEST = "10294666d7e2386dc88b242a3b9ab920502322fc7c6d1eab4b9ecad5a41b4a6d"
+    CHAIN_DIGEST = "3a4acc5c3ec0e91054bc000466e5c4fb1473166be4048aad94b3ef40a246baea"
     FANOUT_DIGESTS = {
-        "two-unshaped": "a4cdb61259112eb0b755e6e7b714df66477ba7d3c00566029fe2bf19f2830e96",
-        "two-shaped": "8d92f0d83e5baa453cd42e83418e120a4c58b64d847684a27e992933994c1f3b",
-        "two-mixed": "0a27cec0121d017ec2a7e305ae0569222036cb71bae70985badf11224493b34f",
-        "three-unshaped": "93ef986eb85597f0226c7157b30594744cbe54d437ef67783839b900c21d0137",
-        "three-shaped": "f1f8bfeb404b2e1e73abcb985a5054114b0cdb43629763e3c0634d7223a23f71",
-        "three-mixed": "10cd1a49e60fc2e7517236878e4e35cf7aeaff336325f27a860853331fa72fe8",
+        "two-unshaped": "b2e56b5b8fb0765ff9bf8943aa8540b5e7c2a7c17cf4e61bc9f7714d09faa889",
+        "two-shaped": "90361b5c2f405fe954134f56cca2374c033da80b1bcb5beff0a385ab07ac2caa",
+        "two-mixed": "966607ab823822a3996cdb19f61bd105f003bf135b43b792538a05815b086241",
+        "three-unshaped": "0976406611d09f1e8be54fe343755d9547d32282eaba5b212848d0de330eccf6",
+        "three-shaped": "a3c07e5016226e90c52d0ed7c5f5ee48a6d82f5f5ee3f5e20a3bb8925a2f68c5",
+        "three-mixed": "6794f44fbca5ab6788f9bbc7fde2f9afcc5e4771fd9fa9337230464b1bac241b",
     }
 
     def test_three_relay_dirty_chain(self, rng):

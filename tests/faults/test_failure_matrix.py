@@ -16,6 +16,7 @@ Two levels:
   headline relay-crash → detect → reroute → keep-decoding run.
 """
 
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,28 +265,42 @@ class TestLifecycleMatrix:
             assert cell.vm.state is VmState.TERMINATED
 
 
+#: The fixed seed set the butterfly failover figures are asserted and
+#: quoted over (README "Self-healing", DESIGN §8): one seed is one sample
+#: of a two-mode distribution, not a bound.
+FAILOVER_SEEDS = tuple(range(1, 9))
+
+
 class TestButterflyUnderFaults:
     """Packet-level matrix: the Fig. 6 butterfly mid-transfer."""
 
-    def test_relay_crash_recovers_with_bounded_mttr(self):
+    @pytest.fixture(scope="class")
+    def v2_crashes(self):
+        """The headline crash (V2 dies at t = 1 s), once per seed of the set."""
+        return {seed: run_butterfly_failover(duration_s=3.0, seed=seed) for seed in FAILOVER_SEEDS}
+
+    def test_relay_crash_recovers_with_bounded_mttr(self, v2_crashes):
         """The headline: V2 dies at t=1 s; decoding survives it."""
-        r = run_butterfly_failover(duration_s=2.5)
-        assert r.recovered
-        # Detection latency is deterministic: miss_threshold × interval,
-        # quantized to the monitor's own tick (0.1 s grid).
-        assert r.detection_latency_s == pytest.approx(0.4, abs=1e-9)
-        # MTTR for seed 7 is a deterministic bound, not a distribution.
-        # (PR 3: up from 0.441 — recovery now runs the full LP replan and
-        # pushes hop-shape clears alongside the tables, buying the O1
-        # fix at ~40 ms of extra reload pause.)
-        assert r.recovery_latency_s == pytest.approx(0.482, abs=0.01)
-        for name in r.receivers:
-            assert r.decoded_before[name] > 0
-            assert r.decoded_after[name] > 0
-        # The recovery path checks registration before pushing tables,
-        # so routing around the corpse loses no control signals.
-        assert r.undeliverable_signals == 0
-        assert [e.kind for _, e in r.applied_faults] == [FaultKind.NODE_CRASH]
+        for r in v2_crashes.values():
+            assert r.recovered
+            # Detection latency is deterministic: miss_threshold × interval,
+            # quantized to the monitor's own tick (0.1 s grid).
+            assert r.detection_latency_s == pytest.approx(0.4, abs=1e-9)
+            # MTTR is a distribution over seeds, in two modes one NACK
+            # round apart (≈ 0.48 s and ≈ 0.74–0.77 s; 0.40–0.86 s over
+            # 30 seeds): the first decode after the reroute waits for
+            # whichever retry timer the crash happened to leave armed.
+            assert 0.4 < r.recovery_latency_s < 1.0
+            for name in r.receivers:
+                assert r.decoded_before[name] > 0
+                assert r.decoded_after[name] > 0
+            # The recovery path checks registration before pushing tables,
+            # so routing around the corpse loses no control signals.
+            assert r.undeliverable_signals == 0
+            assert [e.kind for _, e in r.applied_faults] == [FaultKind.NODE_CRASH]
+        latencies = [r.recovery_latency_s for r in v2_crashes.values()]
+        assert statistics.median(latencies) < 0.8
+        assert max(latencies) < 0.9
 
     @pytest.mark.parametrize("fail_node", ["T", "V2"])
     def test_core_relay_crashes_are_survivable(self, fail_node):
@@ -301,39 +316,56 @@ class TestButterflyUnderFaults:
         # re-runs the LP with O1 excised, moves the whole flow onto the
         # C1 branch and re-routes O2's feedback via V2→T→C1 — so both
         # receivers keep decoding at *full* rank.
-        r = run_butterfly_failover(fail_node="O1", duration_s=2.5)
-        assert r.detected_at is not None
-        assert r.recovered
-        # Detection + repair bound: first post-crash decode at both
-        # receivers within a second of the failure (deterministic for
-        # seed 7; detection alone accounts for 0.4 s of it).
-        assert r.detection_latency_s == pytest.approx(0.4, abs=1e-9)
-        assert r.recovery_latency_s is not None and r.recovery_latency_s < 1.0
-        # Full rank, not a trickle: each receiver decodes at least a
-        # hundred complete generations in the remaining ~1.1 s (the
-        # window over the longer surviving path bounds the rate; what
-        # matters is that *every* generation completes).
-        for name, app in r.receivers.items():
-            assert r.decoded_after[name] > 100
-            # No half-rank residue: everything each receiver has seen
-            # is fully decoded — the PR 2 outcome left decoders stuck
-            # open at rank k/2 forever.
-            assert app._cum_ack == app.highest_seen
-            assert not app._decoders
-        # The replan is recorded and feasible.
-        assert r.recovery_plans and r.recovery_plans[0].feasible
-        assert r.recovery_plans[0].dead_nodes == ("O1",)
-        assert r.recovery_plans[0].source_shares == {"C1": pytest.approx(34.0)}
-        assert all(record.status != "pending"
-                   for record in r.bus.log if record.sent_at < 1.5)
+        latencies = []
+        for seed in FAILOVER_SEEDS:
+            # A completable transfer and a horizon that lets it drain, so
+            # "full rank" is checked exactly, not as a rate on one seed.
+            r = run_butterfly_failover(fail_node="O1", duration_s=5.0, total_generations=500, seed=seed)
+            assert r.detected_at is not None
+            assert r.recovered
+            # Detection alone accounts for 0.4 s of the recovery latency.
+            assert r.detection_latency_s == pytest.approx(0.4, abs=1e-9)
+            latencies.append(r.recovery_latency_s)
+            # Full rank, not a trickle: each receiver decodes well over a
+            # hundred complete generations after the crash — all of the
+            # transfer it had not decoded before it.
+            for name, app in r.receivers.items():
+                assert r.decoded_after[name] > 100
+                assert r.decoded_before[name] + r.decoded_after[name] == 500
+                # No half-rank residue: everything each receiver has seen
+                # is fully decoded — the PR 2 outcome left decoders stuck
+                # open at rank k/2 forever.
+                assert app._cum_ack == app.highest_seen == 499
+                assert not app._decoders
+            # The replan is recorded and feasible.
+            assert r.recovery_plans and r.recovery_plans[0].feasible
+            assert r.recovery_plans[0].dead_nodes == ("O1",)
+            assert r.recovery_plans[0].source_shares == {"C1": pytest.approx(34.0)}
+            assert all(record.status != "pending"
+                       for record in r.bus.log if record.sent_at < 1.5)
+        # First post-crash decode at both receivers within a second of the
+        # failure — in the median and on at least three seeds in four.
+        # The rest wait out one more NACK backoff round (1.02–1.24 s; 1 of
+        # 30 seeds before the stream migration, 3 of 30 after it): a
+        # finding recorded in DESIGN §8, not a bound widened to fit.
+        assert statistics.median(latencies) < 1.0
+        assert sum(latency < 1.0 for latency in latencies) >= 6
 
-    def test_without_recovery_decoding_starves(self):
-        r = run_butterfly_failover(duration_s=2.5, recover=False)
-        assert r.detected_at is not None  # detector still fires
-        recovered = run_butterfly_failover(duration_s=2.5)
-        # ARQ repair over the side branches salvages something, but far
-        # less than detection + reroute + rate fallback recovers.
-        assert sum(r.decoded_after.values()) < 0.8 * sum(recovered.decoded_after.values())
+    def test_without_recovery_decoding_starves(self, v2_crashes):
+        recovered = unrecovered = 0
+        for seed, with_recovery in v2_crashes.items():
+            r = run_butterfly_failover(duration_s=3.0, recover=False, seed=seed)
+            assert r.detected_at is not None  # detector still fires
+            # ARQ repair over the side branches salvages something, but
+            # on every seed less than detection + reroute + rate fallback
+            # recovers in the two seconds after the crash ...
+            assert sum(r.decoded_after.values()) < sum(with_recovery.decoded_after.values())
+            recovered += sum(with_recovery.decoded_after.values())
+            unrecovered += sum(r.decoded_after.values())
+        # ... and over the set far less (0.45 of it, either side of the
+        # stream migration; the 1.5 s the old single-seed form left after
+        # the crash ends before a slow-mode recovery has pulled ahead).
+        assert unrecovered < 0.8 * recovered
 
     def test_bottleneck_flap_is_absorbed_by_arq(self):
         plan = FaultPlan([
