@@ -24,6 +24,7 @@ one at a daemon (DESIGN.md §11).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -33,7 +34,7 @@ from repro.core.session import MulticastSession
 from repro.core.signals import NcForwardTab, NcSettings, NcStart, NcVnfEnd, NcVnfStart, SignalPort
 from repro.fleet.capacity import Edge, FleetDataCenter, FleetPlan, SurplusIndex
 from repro.fleet.churn import SessionSpec
-from repro.fleet.planner import SessionLP
+from repro.fleet.planner import ColdSessionLP, SessionLP
 from repro.lp.simplex import SimplexResult
 from repro.fleet.verdict import AdmissionStatus, AdmissionVerdict
 from repro.net.topology import os3e_latency_ms
@@ -44,6 +45,67 @@ _RATE_TOL = 1e-6
 
 INCREMENTAL = "incremental"
 COLD = "cold"
+
+
+Route = tuple[tuple[str, ...], float]
+
+
+class OverlayGeometry:
+    """What host cities see of the overlay: pure, so computed once and shared.
+
+    Every manager over the default OS3E latency map with the same PoPs,
+    attach count and access delay shares one instance (a shard takeover
+    builds a new manager, not a new geometry); nothing here is ever
+    written after it is first computed.
+    """
+
+    def __init__(
+        self,
+        wan: Mapping[str, Mapping[str, float]],
+        dc_names: tuple[str, ...],
+        attach_dcs: int,
+        access_delay_ms: float,
+    ) -> None:
+        self.wan = wan
+        self._dc_names = dc_names
+        self._attach_dcs = attach_dcs
+        self._access_delay_ms = access_delay_ms
+        self._attachments: dict[str, tuple[str, ...]] = {}
+        self._routes: dict[tuple[str, str], tuple[Route, ...]] = {}
+
+    def attachments(self, city: str) -> tuple[str, ...]:
+        """The nearest PoP data centers to a host city; KeyError if unknown."""
+        near = self._attachments.get(city)
+        if near is None:
+            if city not in self.wan:
+                raise KeyError(f"unknown city {city!r}")
+            row = self.wan[city]
+            ranked = sorted(self._dc_names, key=lambda dc: (row[dc], dc))
+            near = self._attachments[city] = tuple(ranked[: self._attach_dcs])
+        return near
+
+    def routes(self, source_city: str, receiver_city: str) -> tuple[Route, ...]:
+        """Every city→a(→b)→city relay chain as (relays, delay), nearest first."""
+        found = self._routes.get((source_city, receiver_city))
+        if found is None:
+            wan, access = self.wan, self._access_delay_ms
+            routes: list[Route] = []
+            for a in self.attachments(source_city):
+                d_src = wan[source_city][a] + access
+                for b in self.attachments(receiver_city):
+                    d_recv = wan[b][receiver_city] + access
+                    if a == b:
+                        routes.append(((a,), d_src + d_recv))
+                    else:
+                        routes.append(((a, b), d_src + wan[a][b] + d_recv))
+            routes.sort(key=lambda route: (route[1], len(route[0]), route[0]))
+            found = self._routes[(source_city, receiver_city)] = tuple(routes)
+        return found
+
+
+@lru_cache(maxsize=64)
+def _os3e_geometry(dc_names: tuple[str, ...], attach_dcs: int, access_delay_ms: float) -> OverlayGeometry:
+    return OverlayGeometry(os3e_latency_ms(), dc_names, attach_dcs, access_delay_ms)
 
 
 class FleetManager:
@@ -73,25 +135,29 @@ class FleetManager:
         self.datacenters: dict[str, FleetDataCenter] = {dc.name: dc for dc in datacenters}
         if len(self.datacenters) != len(datacenters):
             raise ValueError("duplicate data-center names")
-        self.wan: dict[str, dict[str, float]] = (
-            {a: dict(row) for a, row in latency_ms.items()}
-            if latency_ms is not None
-            else os3e_latency_ms()
-        )
-        missing = [name for name in self.datacenters if name not in self.wan]
-        if missing:
-            raise ValueError(f"data centers absent from the WAN latency map: {missing}")
         self.backbone_mbps = backbone_mbps
         self.access_mbps = access_mbps
         self.access_delay_ms = access_delay_ms
         self.alpha = alpha
         self.attach_dcs = min(attach_dcs, len(self.datacenters))
+        dc_names = tuple(sorted(self.datacenters))
+        self._geometry = (
+            _os3e_geometry(dc_names, self.attach_dcs, access_delay_ms)
+            if latency_ms is None
+            else OverlayGeometry(
+                {a: dict(row) for a, row in latency_ms.items()}, dc_names, self.attach_dcs, access_delay_ms
+            )
+        )
+        #: Shared with every manager of the same geometry, hence read-only.
+        self.wan: Mapping[str, Mapping[str, float]] = self._geometry.wan
+        missing = [name for name in dc_names if name not in self.wan]
+        if missing:
+            raise ValueError(f"data centers absent from the WAN latency map: {missing}")
         self.source_out_mbps = source_out_mbps
         self.receiver_in_mbps = receiver_in_mbps
         self.mode = mode
         self.bus = bus
 
-        dc_names = sorted(self.datacenters)
         self.shared_edges: frozenset[Edge] = frozenset(
             (a, b) for a in dc_names for b in dc_names if a != b
         )
@@ -121,34 +187,19 @@ class FleetManager:
 
     def attachments(self, city: str) -> tuple[str, ...]:
         """The ``attach_dcs`` nearest PoP data centers to a host city."""
-        if city not in self.wan:
-            raise KeyError(f"unknown city {city!r}")
-        ranked = sorted(self.datacenters, key=lambda dc: (self.wan[city][dc], dc))
-        return tuple(ranked[: self.attach_dcs])
+        return self._geometry.attachments(city)
 
     def _candidate_paths(self, spec: SessionSpec) -> dict[str, list[Path]]:
         """src→a(→b)→recv overlay paths within the session's delay bound."""
         source = spec.source_host()
-        src_attach = self.attachments(spec.source_city)
-        path_sets: dict[str, list[Path]] = {}
-        for host, city in zip(spec.receiver_hosts(), spec.receiver_cities):
-            recv_attach = self.attachments(city)
-            paths: list[Path] = []
-            for a in src_attach:
-                d_src = self.wan[spec.source_city][a] + self.access_delay_ms
-                for b in recv_attach:
-                    d_recv = self.wan[b][city] + self.access_delay_ms
-                    if a == b:
-                        delay = d_src + d_recv
-                        nodes = (source, a, host)
-                    else:
-                        delay = d_src + self.wan[a][b] + d_recv
-                        nodes = (source, a, b, host)
-                    if delay <= spec.max_delay_ms:
-                        paths.append(Path(nodes=nodes, delay_ms=delay))
-            paths.sort(key=lambda p: (p.delay_ms, p.hops, p.nodes))
-            path_sets[host] = paths
-        return path_sets
+        return {
+            host: [
+                Path(nodes=(source, *relays, host), delay_ms=delay)
+                for relays, delay in self._geometry.routes(spec.source_city, city)
+                if delay <= spec.max_delay_ms
+            ]
+            for host, city in zip(spec.receiver_hosts(), spec.receiver_cities)
+        }
 
     # -- Alg. 3 at fleet scale ---------------------------------------------
 
@@ -158,8 +209,9 @@ class FleetManager:
             raise ValueError(f"session {spec.session_id} is already admitted")
         if self.mode == COLD:
             self.index.rebuild(self.plans.values())
-        path_sets = self._candidate_paths(spec)
-        if any(not paths for paths in path_sets.values()):
+        unknown = [city for city in (spec.source_city, *spec.receiver_cities) if city not in self.wan]
+        path_sets = {} if unknown else self._candidate_paths(spec)
+        if unknown or any(not paths for paths in path_sets.values()):
             return self._record(
                 AdmissionVerdict(
                     session_id=spec.session_id,
@@ -170,20 +222,10 @@ class FleetManager:
                     warm_started=False,
                     vnfs_launched=0,
                     epoch=self.config_epoch,
-                    reason="no route within the delay bound",
+                    reason=f"unknown city {unknown[0]!r}" if unknown else "no route within the delay bound",
                 )
             )
-        lp = SessionLP(
-            spec,
-            path_sets,
-            self.shared_edges,
-            self._dc_name_set,
-            access_mbps=self.access_mbps,
-            source_out_mbps=self.source_out_mbps,
-            receiver_in_mbps=self.receiver_in_mbps,
-            alpha=self.alpha,
-        )
-        lp.bind(self.index)
+        lp = self._new_lp(spec, path_sets)
         result, plan = self._solve(lp)
         if plan is None or plan.lambda_mbps < spec.rate_mbps - _RATE_TOL:
             achieved = 0.0 if plan is None else plan.lambda_mbps
@@ -330,19 +372,22 @@ class FleetManager:
         lp = self._lps.get(session_id)
         if lp is None:
             spec = self.sessions[session_id]
-            lp = SessionLP(
-                spec,
-                self._candidate_paths(spec),
-                self.shared_edges,
-                self._dc_name_set,
-                access_mbps=self.access_mbps,
-                source_out_mbps=self.source_out_mbps,
-                receiver_in_mbps=self.receiver_in_mbps,
-                alpha=self.alpha,
-            )
-            lp.bind(self.index)
-            self._lps[session_id] = lp
+            lp = self._lps[session_id] = self._new_lp(spec, self._candidate_paths(spec))
         return lp
+
+    def _new_lp(self, spec: SessionSpec, path_sets: Mapping[str, Sequence[Path]]) -> SessionLP:
+        """A session's delta LP; the cold oracle compiles it without the shape memo."""
+        build = ColdSessionLP if self.mode == COLD else SessionLP
+        return build(
+            spec,
+            path_sets,
+            self.shared_edges,
+            self.datacenters,
+            access_mbps=self.access_mbps,
+            source_out_mbps=self.source_out_mbps,
+            receiver_in_mbps=self.receiver_in_mbps,
+            alpha=self.alpha,
+        )
 
     def _install(self, plan: FleetPlan) -> None:
         """Make a plan live: store it and index its routes per PoP."""

@@ -4,10 +4,18 @@ Instead of re-solving problem (2) over the whole fleet on every join,
 the fleet layer solves a *session-local* program whose only coupling to
 the rest of the fleet is through the surplus index: shared-edge rows
 are bounded by residual capacity, per-DC rows by the slack of live
-VNFs plus however many more the quota allows.  The matrix is built
-once per session; every solve only re-patches the rhs and bounds, so
-the cached simplex basis from the previous solve warm-starts the next
-one (see :func:`repro.lp.simplex.solve_simplex`).
+VNFs plus however many more the quota allows.
+
+What such a program depends on splits in two.  Its *shape* — matrix,
+objective, static rhs, which rows get patched — is a pure function of
+the session's geometry with the names erased (:data:`ShapeKey`), so it
+is compiled once (:func:`compile_shape`), kept in a bounded memo
+(:func:`known_shape`) and shared by every session, manager and shard
+that meets the same shape, together with its prepared simplex program
+(:class:`repro.lp.simplex.PreparedProgram`).  A :class:`SessionLP` keeps
+only the names; every solve patches the rhs and bounds from the index,
+and the basis of the previous solve of an equal ``signature`` warm-starts
+it.
 
 Variable order (fixed, so bases transfer between same-shape solves):
 ``[λ, f(receiver,path)…, g(edge)…, y(dc)…]`` with receivers, paths,
@@ -25,36 +33,209 @@ edges and DCs each in sorted order.  Rows, in order:
 Objective (minimize): −M·λ + α·Σy + 1e-6·Σg + per-path rank tie-break —
 the tie-break makes the optimum a *unique* vertex so warm and cold
 solves land on identical routings, not merely equal objectives, and M
-(set in :meth:`SessionLP.bind`) dominates every other term so α only
-ranks routings and can never refuse a feasible session.
+(sized against the touched DCs' capacities) dominates every other term
+so α only ranks routings and can never refuse a feasible session.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.fleet.capacity import RATE_EPS, Edge, FleetPlan, SurplusIndex
-from repro.lp.simplex import FloatArray, SimplexResult, solve_simplex
+from repro.fleet.capacity import RATE_EPS, Edge, FleetDataCenter, FleetPlan, SurplusIndex
+from repro.lp.simplex import FloatArray, PreparedProgram, SimplexResult
+
+# Re-exported: admissions used to call the one-shot solver under this
+# module's name, and instrumentation that wraps it there still finds it.
+from repro.lp.simplex import solve_simplex as solve_simplex
 from repro.routing.paths import Path
 
 if TYPE_CHECKING:
     from repro.fleet.churn import SessionSpec
 
-Bound = tuple[float | None, float | None]
+#: Shapes :func:`known_shape` keeps; the least recently used one goes first.
+#: An evicted shape only costs its next session a rebuild.
+SHAPE_MEMO_SIZE = 1024
+
+RankPath = tuple[int, ...]
+#: Everything the matrix, the objective and the rhs layout depend on, with
+#: names erased — a node is its rank in the session's sorted node order:
+#: (per sorted receiver its paths, source, receivers, (DC, in cap, out cap)
+#: per touched DC, shared edges, (access, source out, receiver in, α)).
+ShapeKey = tuple[
+    tuple[tuple[RankPath, ...], ...],
+    int,
+    tuple[int, ...],
+    tuple[tuple[int, float, float], ...],
+    tuple[tuple[int, int], ...],
+    tuple[float, float, float, float],
+]
+
+
+@dataclass(frozen=True)
+class LPShape:
+    """The name-free, rhs-free half of a session LP; shared, never written."""
+
+    c: FloatArray
+    static_rhs: FloatArray
+    edges: tuple[tuple[int, int], ...]
+    #: (row, index into ``edges``) of each residual-patched row, and
+    #: (row, index into the touched DCs) of each slack-patched one.
+    shared_rows: tuple[tuple[int, int], ...]
+    dc_in_rows: tuple[tuple[int, int], ...]
+    dc_out_rows: tuple[tuple[int, int], ...]
+    #: Structure key: two LPs with equal signatures share warm bases.
+    signature: str
+    program: PreparedProgram
+
+
+def compile_shape(key: ShapeKey) -> LPShape:
+    """Build the matrix form of one shape from scratch (pure)."""
+    paths, source, receivers, dc_caps, shared, (access_mbps, source_out_mbps, receiver_in_mbps, alpha) = key
+    edges = sorted({edge for group in paths for path in group for edge in zip(path, path[1:])})
+    shared_edges = frozenset(shared)
+
+    # -- column layout: [λ, f(receiver, path)…, g(edge)…, y(dc)…] ------------
+    n_paths = sum(len(group) for group in paths)
+    edge_col = {edge: 1 + n_paths + i for i, edge in enumerate(edges)}
+    y_col = 1 + n_paths + len(edges)
+    n = y_col + len(dc_caps)
+
+    # -- rows: written into one matrix preallocated at their upper bound --
+    on_edge: list[dict[tuple[int, int], list[int]]] = []
+    col = 1
+    for group in paths:
+        path_cols: dict[tuple[int, int], list[int]] = {}
+        for path in group:
+            for edge in zip(path, path[1:]):
+                path_cols.setdefault(edge, []).append(col)
+            col += 1
+        on_edge.append(path_cols)
+    out_of: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
+    for edge, j in edge_col.items():
+        out_of.setdefault(edge[0], []).append(j)
+        into.setdefault(edge[1], []).append(j)
+    most_rows = (
+        2 * len(paths) + sum(len(path_cols) for path_cols in on_edge) + len(edges) + 1 + 2 * len(dc_caps)
+    )
+    a = np.zeros((most_rows, n))
+    rhs = np.zeros(most_rows)
+    row = 0
+
+    col = 1
+    for group in paths:
+        a[row, 0] = 1.0
+        a[row, col : col + len(group)] = -1.0
+        col += len(group)
+        row += 1
+
+    for path_cols in on_edge:
+        for edge in sorted(path_cols):
+            a[row, path_cols[edge]] = 1.0
+            a[row, edge_col[edge]] = -1.0
+            row += 1
+
+    shared_rows: list[tuple[int, int]] = []
+    for i, edge in enumerate(edges):
+        a[row, edge_col[edge]] = 1.0
+        if edge in shared_edges:
+            shared_rows.append((row, i))  # rhs patched
+        else:
+            rhs[row] = access_mbps
+        row += 1
+
+    aggregates = [(out_of.get(source), source_out_mbps)]
+    aggregates += [(into.get(recv), receiver_in_mbps) for recv in receivers]
+    for cols, cap in aggregates:
+        if cols:
+            a[row, cols] = 1.0
+            rhs[row] = cap
+            row += 1
+
+    # Per-DC rows: Σ g − cap·y ≤ slack, the slack patched per solve.
+    dc_in_rows: list[tuple[int, int]] = []
+    dc_out_rows: list[tuple[int, int]] = []
+    for i, (dc, in_cap, out_cap) in enumerate(dc_caps):
+        sides = ((into.get(dc), in_cap, dc_in_rows), (out_of.get(dc), out_cap, dc_out_rows))
+        for cols, cap, dc_rows in sides:
+            if cols:
+                a[row, cols] = 1.0
+                a[row, y_col + i] = -cap
+                dc_rows.append((row, i))
+                row += 1
+    a, rhs = a[:row], rhs[:row]
+
+    # Objective: carry the rate if at all feasible; the per-g penalty
+    # prefers short routings and the per-path epsilon makes the optimal
+    # vertex unique — warm and cold solves land on the identical routing,
+    # not merely equal objectives.
+    c = np.zeros(n)
+    c[1 + n_paths : y_col] = 1e-6
+    c[y_col:] = alpha
+    # The rank weight must clear the simplex pivot tolerance (1e-9)
+    # by orders of magnitude, or warm and cold solves can stall on
+    # different same-cost vertices of a degenerate optimum.
+    for rank in range(n_paths):
+        c[1 + rank] = 1e-5 * (rank + 1)
+    # One Mbps of λ moves at most R Mbps (one copy per receiver)
+    # through each touched DC, requiring at most R/cap VNFs there, so
+    # this weight strictly dominates the worst-case marginal cost of
+    # carrying traffic — feasibility always wins over VNF thrift and α
+    # only ever *ranks* routings, it cannot refuse a feasible session.
+    copies = float(len(paths))
+    worst_vnf_cost = copies * sum(1.0 / in_cap + 1.0 / out_cap for _, in_cap, out_cap in dc_caps)
+    # 10× safety margins over the per-edge penalty and the worst
+    # per-path tie-break a unit of λ could possibly incur.
+    edge_budget = 1e-5 * copies * len(edges)
+    tie_budget = 1e-4 * copies * (n_paths + 1)
+    c[0] = -(1.0 + alpha * worst_vnf_cost + edge_budget + tie_budget)
+
+    digest = hashlib.sha256()
+    digest.update(a.tobytes())
+    digest.update(c.tobytes())
+    digest.update(str(n).encode())
+    for shared_array in (a, c, rhs):  # the prepared program keeps a and c by reference
+        shared_array.setflags(write=False)
+    return LPShape(
+        c=c,
+        static_rhs=rhs,
+        edges=tuple(edges),
+        shared_rows=tuple(shared_rows),
+        dc_in_rows=tuple(dc_in_rows),
+        dc_out_rows=tuple(dc_out_rows),
+        signature=digest.hexdigest(),
+        # λ ≤ the asked rate and y ≤ the VNF headroom: values arrive per solve.
+        program=PreparedProgram(c, a, bounded=[0, *range(y_col, n)]),
+    )
+
+
+_shapes: dict[ShapeKey, LPShape] = {}
+
+
+def known_shape(key: ShapeKey) -> LPShape:
+    """:func:`compile_shape` behind a bounded memo (dict order is recency)."""
+    shape = _shapes.pop(key, None)
+    if shape is None:
+        shape = compile_shape(key)
+        while len(_shapes) >= SHAPE_MEMO_SIZE:
+            del _shapes[next(iter(_shapes))]
+    _shapes[key] = shape
+    return shape
 
 
 class SessionLP:
-    """Matrix-form delta LP for one session over the fleet overlay."""
+    """One session's delta LP: the names, over a shared :class:`LPShape`."""
 
     def __init__(
         self,
         spec: "SessionSpec",
         path_sets: Mapping[str, Sequence[Path]],
         shared_edges: frozenset[Edge],
-        dc_names: frozenset[str],
+        datacenters: Mapping[str, FleetDataCenter],
         *,
         access_mbps: float,
         source_out_mbps: float,
@@ -66,156 +247,34 @@ class SessionLP:
         self.paths: dict[str, tuple[Path, ...]] = {
             recv: tuple(path_sets[recv]) for recv in self.receivers
         }
-        all_edges = sorted(
-            {edge for paths in self.paths.values() for p in paths for edge in p.edges}
+        nodes = sorted({n for paths in self.paths.values() for p in paths for n in p.nodes})
+        rank = {name: i for i, name in enumerate(nodes)}
+        self.touched_dcs: tuple[str, ...] = tuple(n for n in nodes if n in datacenters)
+        key: ShapeKey = (
+            tuple(
+                tuple(tuple(map(rank.__getitem__, p.nodes)) for p in self.paths[recv])
+                for recv in self.receivers
+            ),
+            rank.get(spec.source_host(), -1),
+            tuple(rank.get(recv, -1) for recv in self.receivers),
+            tuple(
+                (rank[dc], datacenters[dc].in_cap_mbps, datacenters[dc].outbound_mbps)
+                for dc in self.touched_dcs
+            ),
+            tuple(sorted((rank[a], rank[b]) for a, b in shared_edges if a in rank and b in rank)),
+            (access_mbps, source_out_mbps, receiver_in_mbps, alpha),
         )
-        self.edges: tuple[Edge, ...] = tuple(all_edges)
-        self.touched_dcs: tuple[str, ...] = tuple(
-            sorted({n for edge in all_edges for n in edge if n in dc_names})
-        )
+        self.shape = self._shape_of(key)
+        self.edges: tuple[Edge, ...] = tuple((nodes[a], nodes[b]) for a, b in self.shape.edges)
 
-        # -- column layout -------------------------------------------------
-        self._path_col: dict[tuple[str, Path], int] = {}
-        col = 1  # column 0 is λ
-        for recv in self.receivers:
-            for path in self.paths[recv]:
-                self._path_col[(recv, path)] = col
-                col += 1
-        self._edge_col: dict[Edge, int] = {}
-        for edge in self.edges:
-            self._edge_col[edge] = col
-            col += 1
-        self._y_col: dict[str, int] = {}
-        for dc in self.touched_dcs:
-            self._y_col[dc] = col
-            col += 1
-        n = col
-
-        # -- rows: written into one matrix preallocated at their upper bound --
-        on_edge: list[dict[Edge, list[int]]] = []
-        for recv in self.receivers:
-            path_cols: dict[Edge, list[int]] = {}
-            for path in self.paths[recv]:
-                for edge in path.edges:
-                    path_cols.setdefault(edge, []).append(self._path_col[(recv, path)])
-            on_edge.append(path_cols)
-        out_of: dict[str, list[int]] = {}
-        into: dict[str, list[int]] = {}
-        for edge, j in self._edge_col.items():
-            out_of.setdefault(edge[0], []).append(j)
-            into.setdefault(edge[1], []).append(j)
-        most_rows = (
-            2 * len(self.receivers)
-            + sum(len(path_cols) for path_cols in on_edge)
-            + len(self.edges)
-            + 1
-            + 2 * len(self.touched_dcs)
-        )
-        a = np.zeros((most_rows, n))
-        rhs = np.zeros(most_rows)
-        row = 0
-
-        for recv in self.receivers:
-            a[row, 0] = 1.0
-            a[row, [self._path_col[(recv, path)] for path in self.paths[recv]]] = -1.0
-            row += 1
-
-        for path_cols in on_edge:
-            for edge in sorted(path_cols):
-                a[row, path_cols[edge]] = 1.0
-                a[row, self._edge_col[edge]] = -1.0
-                row += 1
-
-        self._shared_rows: list[tuple[int, Edge]] = []
-        for edge in self.edges:
-            a[row, self._edge_col[edge]] = 1.0
-            if edge in shared_edges:
-                self._shared_rows.append((row, edge))  # rhs patched
-            else:
-                rhs[row] = access_mbps
-            row += 1
-
-        aggregates = [(out_of.get(self.spec.source_host()), source_out_mbps)]
-        aggregates += [(into.get(recv), receiver_in_mbps) for recv in self.receivers]
-        for cols, cap in aggregates:
-            if cols:
-                a[row, cols] = 1.0
-                rhs[row] = cap
-                row += 1
-
-        # Per-DC rows: the y coefficient is filled by bind(), the rhs patched.
-        self._dc_in_rows: list[tuple[int, str]] = []
-        self._dc_out_rows: list[tuple[int, str]] = []
-        for dc in self.touched_dcs:
-            for cols, dc_rows in ((into.get(dc), self._dc_in_rows), (out_of.get(dc), self._dc_out_rows)):
-                if cols:
-                    a[row, cols] = 1.0
-                    dc_rows.append((row, dc))
-                    row += 1
-
-        self._a: FloatArray = a[:row]
-        self._static_rhs: FloatArray = rhs[:row]
-        self._n = n
-        self._bound = False
-
-        # Objective: carry the rate if at all feasible (λ's weight is set
-        # in bind() to dominate any achievable VNF cost, so α only ever
-        # *ranks* routings, it cannot refuse a feasible session); the
-        # per-g penalty prefers short routings and the per-path epsilon
-        # makes the optimal vertex unique — warm and cold solves land on
-        # the identical routing, not merely equal objectives.
-        self._alpha = alpha
-        c = np.zeros(n)
-        c[0] = -1.0  # provisional; bind() re-weights against the DC caps
-        for j in self._edge_col.values():
-            c[j] = 1e-6
-        for j in self._y_col.values():
-            c[j] += alpha
-        # The rank weight must clear the simplex pivot tolerance (1e-9)
-        # by orders of magnitude, or warm and cold solves can stall on
-        # different same-cost vertices of a degenerate optimum.
-        for rank, j in enumerate(sorted(self._path_col.values())):
-            c[j] += 1e-5 * (rank + 1)
-        self._c: FloatArray = c
-        self._signature: str | None = None
-
-    def bind(self, index: SurplusIndex) -> None:
-        """Fill the per-VNF capacity coefficients from the DC specs.
-
-        Coefficients (unlike the rhs) are part of the matrix, so they
-        are bound once; the specs are immutable.
-        """
-        for row, dc in self._dc_in_rows:
-            self._a[row, self._y_col[dc]] = -index.datacenters[dc].in_cap_mbps
-        for row, dc in self._dc_out_rows:
-            self._a[row, self._y_col[dc]] = -index.datacenters[dc].outbound_mbps
-        # One Mbps of λ moves at most R Mbps (one copy per receiver)
-        # through each touched DC, requiring at most R/cap VNFs there, so
-        # this weight strictly dominates the worst-case marginal cost of
-        # carrying traffic — feasibility always wins over VNF thrift.
-        copies = float(len(self.receivers))
-        worst_vnf_cost = copies * sum(
-            1.0 / index.datacenters[dc].in_cap_mbps + 1.0 / index.datacenters[dc].outbound_mbps
-            for dc in self.touched_dcs
-        )
-        # 10× safety margins over the per-edge penalty and the worst
-        # per-path tie-break a unit of λ could possibly incur.
-        edge_budget = 1e-5 * copies * len(self.edges)
-        tie_budget = 1e-4 * copies * (len(self._path_col) + 1)
-        self._c[0] = -(1.0 + self._alpha * worst_vnf_cost + edge_budget + tie_budget)
-        self._bound = True
-        self._signature = None
+    @staticmethod
+    def _shape_of(key: ShapeKey) -> LPShape:
+        return known_shape(key)
 
     @property
     def signature(self) -> str:
         """Structure key: two LPs with equal signatures share warm bases."""
-        if self._signature is None:
-            digest = hashlib.sha256()
-            digest.update(self._a.tobytes())
-            digest.update(self._c.tobytes())
-            digest.update(str(self._n).encode())
-            self._signature = digest.hexdigest()
-        return self._signature
+        return self.shape.signature
 
     def solve(
         self,
@@ -223,33 +282,27 @@ class SessionLP:
         initial_basis: tuple[int, ...] | None = None,
     ) -> tuple[SimplexResult, FleetPlan | None]:
         """Patch rhs/bounds from the index and solve; extract the plan."""
-        if not self._bound:
-            self.bind(index)
-        rhs = self._static_rhs.copy()
-        for row, edge in self._shared_rows:
-            rhs[row] = index.residual(edge)
-        for row, dc in self._dc_in_rows:
-            rhs[row] = index.slack_in(dc)
-        for row, dc in self._dc_out_rows:
-            rhs[row] = index.slack_out(dc)
-
-        bounds: list[Bound] = [(0.0, None)] * self._n
-        bounds[0] = (0.0, self.spec.rate_mbps)
-        for dc, j in self._y_col.items():
-            bounds[j] = (0.0, float(index.vnf_headroom(dc)))
-
-        result = solve_simplex(
-            self._c, a_ub=self._a, b_ub=rhs, bounds=bounds, initial_basis=initial_basis
-        )
+        shape = self.shape
+        rhs = shape.static_rhs.copy()
+        for row, i in shape.shared_rows:
+            rhs[row] = index.residual(self.edges[i])
+        for row, i in shape.dc_in_rows:
+            rhs[row] = index.slack_in(self.touched_dcs[i])
+        for row, i in shape.dc_out_rows:
+            rhs[row] = index.slack_out(self.touched_dcs[i])
+        upper = [self.spec.rate_mbps, *(float(index.vnf_headroom(dc)) for dc in self.touched_dcs)]
+        result = shape.program.solve(rhs, upper=upper, initial_basis=initial_basis)
         if not result.success:
             return result, None
         return result, self._extract(result.x)
 
     def _extract(self, x: FloatArray) -> FleetPlan:
         path_rates: list[tuple[str, Path, float]] = []
+        col = 1  # column 0 is λ
         for recv in self.receivers:
             for path in self.paths[recv]:
-                rate = float(x[self._path_col[(recv, path)]])
+                rate = float(x[col])
+                col += 1
                 if rate > RATE_EPS:
                     path_rates.append((recv, path, rate))
         # Only edges a kept path runs over: the index is charged, and a PoP
@@ -257,7 +310,8 @@ class SessionLP:
         routed = {edge for _, path, _ in path_rates for edge in path.edges}
         edge_rates: list[tuple[Edge, float]] = []
         for edge in self.edges:
-            rate = float(x[self._edge_col[edge]])
+            rate = float(x[col])
+            col += 1
             if rate > RATE_EPS and edge in routed:
                 edge_rates.append((edge, rate))
         return FleetPlan(
@@ -266,3 +320,11 @@ class SessionLP:
             path_rates=tuple(path_rates),
             edge_rates=tuple(edge_rates),
         )
+
+
+class ColdSessionLP(SessionLP):
+    """The cold oracle's LP: every shape compiled afresh, the memo never read."""
+
+    @staticmethod
+    def _shape_of(key: ShapeKey) -> LPShape:
+        return compile_shape(key)

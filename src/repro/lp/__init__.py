@@ -12,9 +12,10 @@ available offline, so this package provides:
 - a **dense numpy simplex** (:mod:`repro.lp.simplex`): array-pivot
   primal simplex that starts from the slack basis when the program is
   a packing LP and from a cached basis when given one, with two-phase
-  as the general fallback — the solver behind every fleet admission,
-  the ``"simplex"`` backend here, and an independent cross-check of
-  HiGHS in tests,
+  as the general fallback — prepared once per matrix and solved per
+  right-hand side (:class:`PreparedProgram`) behind every fleet
+  admission, one-shot (:func:`solve_simplex`) as the ``"simplex"``
+  backend here and as an independent cross-check of HiGHS in tests,
 - :mod:`repro.lp.rounding` — LP-relaxation rounding for the integer VNF
   counts x_v, rounding *up* so bandwidth/capacity constraints (2c)–(2e)
   remain satisfied.
@@ -22,7 +23,7 @@ available offline, so this package provides:
 
 from repro.lp.model import Constraint, LinearProgram, LinExpr, Solution, SolveError, Variable
 from repro.lp.rounding import round_up_integers
-from repro.lp.simplex import SimplexResult, solve_simplex
+from repro.lp.simplex import PreparedProgram, SimplexResult, solve_simplex
 
 __all__ = [
     "Variable",
@@ -32,6 +33,7 @@ __all__ = [
     "Solution",
     "SolveError",
     "solve_simplex",
+    "PreparedProgram",
     "SimplexResult",
     "round_up_integers",
 ]

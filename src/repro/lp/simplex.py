@@ -17,6 +17,10 @@ cols)) and both the entering and the leaving variable follow Bland's
 rule, so the solver cannot cycle.  Dense tableaus suit the few-hundred-
 variable programs problem (2) produces on 5–20 data centers; whole-
 fleet programs go to the sparse HiGHS backend.
+
+A solve is *prepare* + *solve*: :class:`PreparedProgram` holds what does
+not depend on the right-hand side and is reused for every rhs of one
+matrix; :func:`solve_simplex` is the same code with a throw-away one.
 """
 
 from __future__ import annotations
@@ -44,6 +48,200 @@ class SimplexResult:
     warm_started: bool = False
 
 
+Basis = tuple[int, ...]
+
+
+class PreparedProgram:
+    """Everything about a program that does not depend on its right-hand side.
+
+    Built once per matrix: the standard form (``<=`` rows, one bound row
+    per variable in ``bounded``, equality rows, slack columns) and, per
+    basis it has been warm-started from, that basis' inverse and whether
+    its reduced costs were already optimal.  Reduced costs do not depend
+    on the rhs, so a warm start from such a basis is ``x_B = B⁻¹ b``, the
+    staleness test and the read-out — no tableau, no pivot loop.
+
+    ``lower`` shifts every variable to ``x' >= 0``; each variable listed
+    in ``bounded`` gets an ``x_j <= upper`` row whose value arrives with
+    :meth:`solve`, parallel to ``bounded``.
+    """
+
+    def __init__(
+        self,
+        c: npt.ArrayLike,
+        a_ub: npt.ArrayLike | None = None,
+        a_eq: npt.ArrayLike | None = None,
+        lower: npt.ArrayLike | None = None,
+        bounded: Sequence[int] = (),
+    ) -> None:
+        self._cost = cost = np.asarray(c, dtype=np.float64)
+        n = cost.shape[0]
+        self._shift = shift = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64)
+        no_rows = np.zeros((0, n))
+        # The matrices are kept by reference: the caller must not write to them.
+        self._a_ub = ub_a = np.asarray(no_rows if a_ub is None else a_ub, dtype=np.float64).reshape(-1, n)
+        self._a_eq = eq_a = np.asarray(no_rows if a_eq is None else a_eq, dtype=np.float64).reshape(-1, n)
+        self.bounded = tuple(bounded)
+        columns = np.asarray(self.bounded, dtype=np.intp)
+        m_ub = ub_a.shape[0] + columns.shape[0]
+        self._dims = (m_ub + eq_a.shape[0], n + m_ub)
+        # Where the standard form's ones go: a bound row per bounded
+        # variable under the <= rows, a slack column per <= or bound row.
+        self._bound_at = (np.arange(ub_a.shape[0], m_ub), columns)
+        self._slack_at = (np.arange(m_ub), n + np.arange(m_ub))
+        self._rhs_shift = np.concatenate([ub_a @ shift, shift[columns], eq_a @ shift])
+        self._inverse: dict[Basis, FloatArray | None] = {}
+        self._settled: dict[Basis, bool] = {}
+
+    def _standard_form(self, neg: npt.NDArray[np.bool_]) -> FloatArray:
+        """Dense ``[A | I]`` with the ``neg`` rows negated (their rhs was negative).
+
+        Mostly zeros, so it is assembled per solve rather than kept.
+        """
+        n = self._cost.shape[0]
+        m_ub = self._dims[1] - n
+        big_a = np.zeros(self._dims)
+        big_a[: self._a_ub.shape[0], :n] = self._a_ub
+        big_a[self._bound_at] = 1.0
+        big_a[self._slack_at] = 1.0
+        big_a[m_ub:, :n] = self._a_eq
+        big_a[neg] *= -1
+        return big_a
+
+    def solve(
+        self,
+        b_ub: npt.ArrayLike | None = None,
+        b_eq: npt.ArrayLike | None = None,
+        upper: npt.ArrayLike = (),
+        max_iter: int = 20000,
+        initial_basis: Sequence[int] | None = None,
+    ) -> SimplexResult:
+        """Solve for one right-hand side; see :func:`solve_simplex`."""
+        n = self._cost.shape[0]
+        m, total = self._dims
+        parts = [np.asarray(b, dtype=np.float64).ravel() for b in (b_ub, upper, b_eq) if b is not None]
+        big_b = np.concatenate(parts) - self._rhs_shift
+        # Make every rhs non-negative for phase 1.
+        neg = big_b < 0
+        flipped = bool(neg.any())
+        big_b[neg] *= -1
+
+        # --- warm start: reuse a prior basis, skipping phase 1 when it is
+        # still primal-feasible for the new rhs.
+        if initial_basis is not None:
+            warm = self._warm_start(big_b, neg, flipped, tuple(int(b) for b in initial_basis), max_iter)
+            if warm is not None:
+                return warm
+        big_a = self._standard_form(neg)
+
+        # --- slack start: with only <= rows and no negative rhs the slack
+        # columns are a feasible basis already (x = 0), so there is nothing
+        # for phase 1 to find and no artificial column to carry.
+        if self._a_eq.shape[0] == 0 and not flipped:
+            tableau_s = _phase2_tableau(big_a, big_b, self._cost)
+            basis_s = np.arange(n, total, dtype=np.intp)
+            iters_s, status = _pivot_loop(tableau_s, basis_s, max_iter)
+            if status != "optimal":
+                return SimplexResult(np.zeros(n), 0.0, False, status, iters_s)
+            return self._optimal(tableau_s[:-1, -1], basis_s, iters_s)
+
+        # --- phase 1: artificial variables, minimize their sum.
+        tableau = np.zeros((m + 1, total + m + 1))
+        tableau[:m, :total] = big_a
+        tableau[:m, total : total + m] = np.eye(m)
+        tableau[:m, -1] = big_b
+        tableau[m, total : total + m] = 1.0
+        basis = np.arange(total, total + m, dtype=np.intp)
+        # Price out artificials from the objective row.
+        for i in range(m):
+            tableau[m] -= tableau[i]
+
+        iters1, status = _pivot_loop(tableau, basis, max_iter)
+        if status != "optimal":
+            return SimplexResult(np.zeros(n), 0.0, False, f"phase1 {status}", iters1)
+        if tableau[m, -1] < -1e-7:
+            return SimplexResult(np.zeros(n), 0.0, False, "infeasible", iters1)
+
+        # Drive any artificial still in the basis out (degenerate rows).
+        for i in np.flatnonzero(basis >= total):
+            usable = np.flatnonzero(np.abs(tableau[i, :total]) > _EPS)
+            if usable.size:  # else a redundant row: its artificial stays basic at 0
+                _pivot(tableau, basis, int(i), int(usable[0]))
+
+        # --- phase 2: real objective over the current basis.
+        tableau2 = _phase2_tableau(tableau[:m, :total], tableau[:m, -1], self._cost)
+        _price_out(tableau2, basis)
+
+        iters2, status = _pivot_loop(tableau2, basis, max_iter)
+        if status != "optimal":
+            return SimplexResult(np.zeros(n), 0.0, False, status, iters1 + iters2)
+        return self._optimal(tableau2[:-1, -1], basis, iters1 + iters2)
+
+    def _warm_start(
+        self, big_b: FloatArray, neg: npt.NDArray[np.bool_], flipped: bool, basis: Basis, max_iter: int
+    ) -> SimplexResult | None:
+        """Phase 2 from a cached basis; None when it is stale for this rhs.
+
+        The basis is stale when its shape no longer matches the program,
+        the basis matrix is singular, or the implied vertex is primal
+        infeasible for the new rhs (a basic value would be negative).
+        What is remembered per basis describes the unflipped standard
+        form only; a program with a negative rhs pays for its own inverse.
+        """
+        big_a: FloatArray | None = None
+        if not flipped and basis in self._inverse:
+            binv = self._inverse[basis]
+        else:
+            big_a = self._standard_form(neg)
+            binv = _basis_inverse(big_a, basis)
+            if not flipped:
+                self._inverse[basis] = binv
+        if binv is None:
+            return None
+        x_basic = binv @ big_b
+        if not x_basic.min(initial=0.0) >= -1e-7:  # NaN counts as stale
+            return None
+        vertex = np.maximum(x_basic, 0.0)
+        warm_basis = np.array(basis, dtype=np.intp)
+        if not flipped and self._settled.get(basis):
+            return self._optimal(vertex, warm_basis, 0, warm_started=True)
+        if big_a is None:
+            big_a = self._standard_form(neg)
+        tableau = _phase2_tableau(binv @ big_a, vertex, self._cost)
+        _price_out(tableau, warm_basis)
+        if not flipped:
+            self._settled[basis] = not (tableau[-1, :-1] < -_EPS).any()
+        iters, status = _pivot_loop(tableau, warm_basis, max_iter)
+        if status == "optimal":
+            return self._optimal(tableau[:-1, -1], warm_basis, iters, warm_started=True)
+        if status == "unbounded":
+            return SimplexResult(
+                np.zeros(self._cost.shape[0]), 0.0, False, status, iters, warm_started=True
+            )
+        return None  # iteration limit from a warm vertex: retry cold
+
+    def _optimal(
+        self, basic_values: FloatArray, basis: IntArray, iterations: int, warm_started: bool = False
+    ) -> SimplexResult:
+        """Read the vertex off an optimal basis and undo the bound shift."""
+        total = self._dims[1]
+        x = np.zeros(total)
+        real = basis < total
+        x[basis[real]] = basic_values[real]
+        solution = x[: self._cost.shape[0]] + self._shift
+        # Only a basis made purely of structural/slack columns can seed a
+        # warm start; a leftover artificial (redundant row) poisons it.
+        return SimplexResult(
+            solution,
+            float(self._cost @ solution),
+            True,
+            "optimal",
+            iterations,
+            basis=tuple(basis.tolist()) if real.all() else None,
+            warm_started=warm_started,
+        )
+
+
 def solve_simplex(
     c: npt.ArrayLike,
     a_ub: npt.ArrayLike | None = None,
@@ -56,6 +254,8 @@ def solve_simplex(
 ) -> SimplexResult:
     """Minimize ``c @ x`` subject to inequality/equality rows and bounds.
 
+    The one-shot form: a throw-away :class:`PreparedProgram`, solved once.
+
     ``initial_basis`` is the ``basis`` of a previous :class:`SimplexResult`
     for a program with the *same standard-form shape* (same variables,
     same rows in the same order — typically the same program with a
@@ -65,122 +265,32 @@ def solve_simplex(
     cold path — the slack start if the program allows it, else two-phase
     — so passing a basis is always safe.
     """
-    cost = np.asarray(c, dtype=np.float64)
-    n = cost.shape[0]
-    var_bounds: Sequence[tuple[float | None, float | None]] = (
-        bounds if bounds is not None else [(0.0, None)] * n
-    )
-
-    # --- normalize variables to x' >= 0 by shifting lower bounds; finite
-    # upper bounds become extra <= rows.
-    shift = np.zeros(n)
-    extra_rows: list[FloatArray] = []
-    extra_rhs: list[float] = []
-    for j, (lo, hi) in enumerate(var_bounds):
+    lower: list[float] = []
+    bounded: list[int] = []
+    upper: list[float] = []
+    for j, (lo, hi) in enumerate(bounds if bounds is not None else ()):
         if lo is None or lo == -np.inf:
             # Free-below variables are not produced by our modeling layer
             # (everything in problem (2) is >= 0); reject loudly.
             raise ValueError("simplex backend requires finite lower bounds")
-        shift[j] = float(lo)
-        if hi is not None:
-            row = np.zeros(n)
-            row[j] = 1.0
-            extra_rows.append(row)
-            extra_rhs.append(float(hi) - float(lo))
-
-    def _shift_rhs(
-        a: npt.ArrayLike | None, b: npt.ArrayLike | None
-    ) -> tuple[FloatArray, FloatArray] | tuple[None, None]:
-        if a is None or b is None:
-            return None, None
-        mat = np.asarray(a, dtype=np.float64).reshape(-1, n)
-        rhs = np.asarray(b, dtype=np.float64).ravel() - mat @ shift
-        return mat, rhs
-
-    ub_a, ub_b = _shift_rhs(a_ub, b_ub)
-    eq_a, eq_b = _shift_rhs(a_eq, b_eq)
-    if extra_rows:
-        extra = np.array(extra_rows)
-        extra_b = np.array(extra_rhs)
-        ub_a = extra if ub_a is None else np.vstack([ub_a, extra])
-        ub_b = extra_b if ub_b is None else np.concatenate([ub_b, extra_b])
-
-    # --- standard form: slacks for <= rows.
-    m_ub = 0 if ub_a is None else ub_a.shape[0]
-    m_eq = 0 if eq_a is None else eq_a.shape[0]
-    m = m_ub + m_eq
-    total = n + m_ub  # structural + slack
-    big_a = np.zeros((m, total))
-    big_b = np.zeros(m)
-    if ub_a is not None and ub_b is not None:
-        big_a[:m_ub, :n] = ub_a
-        big_a[:m_ub, n : n + m_ub] = np.eye(m_ub)
-        big_b[:m_ub] = ub_b
-    if eq_a is not None and eq_b is not None:
-        big_a[m_ub:, :n] = eq_a
-        big_b[m_ub:] = eq_b
-    # Make every rhs non-negative for phase 1.
-    neg = big_b < 0
-    big_a[neg] *= -1
-    big_b[neg] *= -1
-
-    # --- warm start: reuse a prior basis, skipping phase 1 when it is
-    # still primal-feasible for the new rhs.
-    if initial_basis is not None:
-        warm = _warm_tableau(big_a, big_b, cost, initial_basis)
-        if warm is not None:
-            tableau_w, basis_w = warm
-            iters_w, status_w = _pivot_loop(tableau_w, basis_w, max_iter)
-            if status_w == "optimal":
-                return _optimal(tableau_w, basis_w, cost, shift, iters_w, warm_started=True)
-            if status_w == "unbounded":
-                return SimplexResult(
-                    np.zeros(n), 0.0, False, status_w, iters_w, warm_started=True
-                )
-            # Iteration limit from a warm vertex: fall through and retry cold.
-
-    # --- slack start: with only <= rows and no negative rhs the slack
-    # columns are a feasible basis already (x = 0), so there is nothing
-    # for phase 1 to find and no artificial column to carry.
-    if m_eq == 0 and not neg.any():
-        tableau_s = _phase2_tableau(big_a, big_b, cost)
-        basis_s = np.arange(n, total, dtype=np.intp)
-        iters_s, status = _pivot_loop(tableau_s, basis_s, max_iter)
-        if status != "optimal":
-            return SimplexResult(np.zeros(n), 0.0, False, status, iters_s)
-        return _optimal(tableau_s, basis_s, cost, shift, iters_s)
-
-    # --- phase 1: artificial variables, minimize their sum.
-    tableau = np.zeros((m + 1, total + m + 1))
-    tableau[:m, :total] = big_a
-    tableau[:m, total : total + m] = np.eye(m)
-    tableau[:m, -1] = big_b
-    tableau[m, total : total + m] = 1.0
-    basis = np.arange(total, total + m, dtype=np.intp)
-    # Price out artificials from the objective row.
-    for i in range(m):
-        tableau[m] -= tableau[i]
-
-    iters1, status = _pivot_loop(tableau, basis, max_iter)
-    if status != "optimal":
-        return SimplexResult(np.zeros(n), 0.0, False, f"phase1 {status}", iters1)
-    if tableau[m, -1] < -1e-7:
-        return SimplexResult(np.zeros(n), 0.0, False, "infeasible", iters1)
-
-    # Drive any artificial still in the basis out (degenerate rows).
-    for i in np.flatnonzero(basis >= total):
-        usable = np.flatnonzero(np.abs(tableau[i, :total]) > _EPS)
-        if usable.size:  # else a redundant row: its artificial stays basic at 0
-            _pivot(tableau, basis, int(i), int(usable[0]))
-
-    # --- phase 2: real objective over the current basis.
-    tableau2 = _phase2_tableau(tableau[:m, :total], tableau[:m, -1], cost)
-    _price_out(tableau2, basis)
-
-    iters2, status = _pivot_loop(tableau2, basis, max_iter)
-    if status != "optimal":
-        return SimplexResult(np.zeros(n), 0.0, False, status, iters1 + iters2)
-    return _optimal(tableau2, basis, cost, shift, iters1 + iters2)
+        lower.append(float(lo))
+        if hi is not None and hi != np.inf:
+            bounded.append(j)
+            upper.append(float(hi))
+    program = PreparedProgram(
+        c,
+        a_ub if b_ub is not None else None,
+        a_eq if b_eq is not None else None,
+        lower or None,
+        bounded,
+    )
+    return program.solve(
+        b_ub if a_ub is not None else None,
+        b_eq if a_eq is not None else None,
+        upper,
+        max_iter,
+        initial_basis,
+    )
 
 
 def _phase2_tableau(body: FloatArray, rhs: FloatArray, cost: FloatArray) -> FloatArray:
@@ -193,33 +303,6 @@ def _phase2_tableau(body: FloatArray, rhs: FloatArray, cost: FloatArray) -> Floa
     return tableau
 
 
-def _optimal(
-    tableau: FloatArray,
-    basis: IntArray,
-    cost: FloatArray,
-    shift: FloatArray,
-    iterations: int,
-    warm_started: bool = False,
-) -> SimplexResult:
-    """Read the vertex off an optimal phase-2 tableau and undo the bound shift."""
-    total = tableau.shape[1] - 1
-    x = np.zeros(total)
-    real = basis < total
-    x[basis[real]] = tableau[:-1, -1][real]
-    solution = x[: cost.shape[0]] + shift
-    # Only a basis made purely of structural/slack columns can seed a
-    # warm start; a leftover artificial (redundant row) poisons it.
-    return SimplexResult(
-        solution,
-        float(cost @ solution),
-        True,
-        "optimal",
-        iterations,
-        basis=tuple(basis.tolist()) if real.all() else None,
-        warm_started=warm_started,
-    )
-
-
 def _price_out(tableau: FloatArray, basis: IntArray) -> None:
     """Zero the objective row's reduced cost on every real basic column."""
     m, total = tableau.shape[0] - 1, tableau.shape[1] - 1
@@ -228,38 +311,18 @@ def _price_out(tableau: FloatArray, basis: IntArray) -> None:
             tableau[m] -= tableau[m, bv] * tableau[i]
 
 
-def _warm_tableau(
-    big_a: FloatArray,
-    big_b: FloatArray,
-    cost: FloatArray,
-    initial_basis: Sequence[int],
-) -> tuple[FloatArray, IntArray] | None:
-    """Build a phase-2 tableau from a cached basis, or None if stale.
-
-    The basis is stale when its shape no longer matches the program,
-    the basis matrix is singular, or the implied vertex is primal
-    infeasible for the new rhs (a basic value would be negative).
-    """
+def _basis_inverse(big_a: FloatArray, basis: Basis) -> FloatArray | None:
+    """``B⁻¹`` of a cached basis; None when no rhs could make it usable."""
     m, total = big_a.shape
-    basis = [int(b) for b in initial_basis]
     if len(basis) != m or len(set(basis)) != m:
         return None
     if any(b < 0 or b >= total for b in basis):
         return None
-    b_mat = big_a[:, basis]
     try:
-        binv = np.linalg.inv(b_mat)
+        binv: FloatArray = np.linalg.inv(big_a[:, list(basis)])
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(binv).all():
-        return None
-    x_basic = binv @ big_b
-    if x_basic.min() < -1e-7:
-        return None
-    tableau = _phase2_tableau(binv @ big_a, np.maximum(x_basic, 0.0), cost)
-    warm_basis = np.array(basis, dtype=np.intp)
-    _price_out(tableau, warm_basis)
-    return tableau, warm_basis
+    return binv if np.isfinite(binv).all() else None
 
 
 def _pivot_loop(tableau: FloatArray, basis: IntArray, max_iter: int) -> tuple[int, str]:

@@ -18,6 +18,7 @@ the hand-drawn butterfly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any
@@ -272,9 +273,18 @@ def os3e_latency_ms(graph: nx.DiGraph | None = None) -> dict[str, dict[str, floa
     the latency matrix the fleet layer uses to weight its overlay edges
     (an overlay hop between two PoPs rides the shortest WAN route).
     """
-    g = os3e_graph() if graph is None else graph
-    lengths = dict(nx.all_pairs_dijkstra_path_length(g, weight="delay_ms"))
-    return {src: dict(dsts) for src, dsts in lengths.items()}
+    pairs = (
+        _os3e_default_latency()
+        if graph is None
+        else nx.all_pairs_dijkstra_path_length(graph, weight="delay_ms")
+    )
+    return {src: dict(dsts) for src, dsts in pairs}  # the caller's own copy
+
+
+@functools.lru_cache(maxsize=1)
+def _os3e_default_latency() -> tuple[tuple[str, dict[str, float]], ...]:
+    """The default graph never changes: its Dijkstra runs once per process."""
+    return tuple(nx.all_pairs_dijkstra_path_length(os3e_graph(), weight="delay_ms"))
 
 
 def os3e_topology(

@@ -271,8 +271,12 @@ class ShardedControlPlane:
     # -- homing ----------------------------------------------------------
 
     def home_of(self, spec: SessionSpec) -> str:
-        """The controller city owning a session (by its source city)."""
-        return self.shard_map.region_of(spec.source_city)
+        """The controller city owning a session (by its source city).
+
+        A source city outside the map has no region: the first controller
+        takes the request, and its manager answers with the typed rejection.
+        """
+        return self.shard_map.assignment.get(spec.source_city, self.shard_map.controllers[0])
 
     def _home_shard(self, spec: SessionSpec) -> ShardController:
         return self.shards[self.home_of(spec)]

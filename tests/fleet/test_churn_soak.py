@@ -77,6 +77,15 @@ class TestSoakDeterminism:
         for seed in (0, 7, 19):
             assert run_fleet_soak(seed).fingerprint == run_fleet_soak(seed, mode=COLD).fingerprint
 
+    @pytest.mark.xfail(strict=True, reason="SurplusIndex apply/release drift: (a + x) - x != a in the last ulp")
+    def test_cold_fingerprint_contract_is_false_on_seed_27(self):
+        # The witness (1 of seeds 0-59): session 41 is rejected-capacity in
+        # both modes, at λ 15.555555555555571 incrementally and 15.5555555555556
+        # after a cold rebuild.  SurplusIndex.canonical() quantises loads to
+        # 1e-6 for exactly this drift; AdmissionVerdict.canonical() hashes
+        # repr(λ) exactly.  ROADMAP "System-wide invariants" owns the fix.
+        assert run_fleet_soak(27).fingerprint == run_fleet_soak(27, mode=COLD).fingerprint
+
     def test_incomplete_is_never_silently_dropped(self):
         # The violation tag is load-bearing for the CI gate: a fleet run
         # that blows up mid-sweep is recorded and counted, and the seeds

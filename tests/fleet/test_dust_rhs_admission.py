@@ -23,6 +23,7 @@ from repro.fleet import planner
 from repro.fleet.churn import JOIN, ChurnTrace
 from repro.fleet.manager import fleet_of
 from repro.fleet.soak import SOAK_DC_CITIES
+from repro.lp.simplex import PreparedProgram
 from repro.net.events import EventScheduler
 from repro.shard.plane import ShardedControlPlane
 
@@ -36,19 +37,26 @@ WITNESS = 539  # the join the two-phase path used to reject
 def churned_plane():
     """Eight churn chunks, one primary crashed per chunk; records the witness LP."""
     witness: dict[str, object] = {}
-    last_program: dict[str, object] = {}
-    real_simplex = planner.solve_simplex
+    last_rhs: dict[str, object] = {}
+    real_simplex = PreparedProgram.solve
     real_solve = planner.SessionLP.solve
 
-    def recording_simplex(c, **kwargs):
-        last_program.update(c=c, **kwargs)
-        return real_simplex(c, **kwargs)
+    def recording_simplex(program, b_ub=None, b_eq=None, upper=(), max_iter=20000, initial_basis=None):
+        last_rhs.update(b_ub=b_ub, upper=upper)
+        return real_simplex(program, b_ub, b_eq, upper, max_iter, initial_basis)
 
     def recording_solve(lp, index, initial_basis=None):
         outcome = real_solve(lp, index, initial_basis)
         if lp.spec.session_id == WITNESS:
-            witness.update({k: np.array(last_program[k]) for k in ("c", "a_ub", "b_ub")})
-            witness["bounds"] = list(last_program["bounds"])
+            # The program as the solver holds it: bounds are rows of the standard form.
+            program = lp.shape.program
+            rows = len(last_rhs["b_ub"]) + len(last_rhs["upper"])
+            witness.update(
+                c=np.array(lp.shape.c),
+                a_ub=program._standard_form(np.zeros(rows, dtype=bool))[:, : len(lp.shape.c)],
+                b_ub=np.concatenate([last_rhs["b_ub"], last_rhs["upper"]]),
+                bounds=(0.0, None),
+            )
         return outcome
 
     scheduler = EventScheduler()
@@ -68,7 +76,7 @@ def churned_plane():
 
     joins = 0
     patch = pytest.MonkeyPatch()
-    patch.setattr(planner, "solve_simplex", recording_simplex)
+    patch.setattr(PreparedProgram, "solve", recording_simplex)
     patch.setattr(planner.SessionLP, "solve", recording_solve)
     try:
         for chunk in range(CHUNKS):

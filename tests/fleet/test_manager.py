@@ -51,6 +51,19 @@ class TestAdmission:
         assert m.lp_solves == 0
         assert m.active_sessions == 0
 
+    @pytest.mark.parametrize(
+        "source, receivers", [("Atlantis", ("Seattle",)), ("Seattle", ("Boston", "Atlantis"))]
+    )
+    def test_unknown_city_is_typed_and_free(self, source, receivers):
+        # Used to be a KeyError out of attachments(); tenant input must not raise.
+        m = make_manager()
+        v = m.admit(spec(1, src=source, recvs=receivers))
+        assert v.status is AdmissionStatus.REJECTED_INFEASIBLE
+        assert "Atlantis" in v.reason
+        assert v.lp_solves == 0 and m.lp_solves == 0 and m.active_sessions == 0
+        assert m.depart(1) is None  # its leave is the no-op every rejected join's is
+        assert m.admit(spec(2)).admitted
+
     def test_capacity_exhaustion_is_typed(self):
         m = make_manager(max_vnfs=1, inbound_mbps=30.0, outbound_mbps=30.0, coding_mbps=27.0)
         verdicts = [

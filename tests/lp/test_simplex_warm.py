@@ -101,6 +101,33 @@ class TestStaleBasisFallback:
         assert tight.success
         assert tight.objective == pytest.approx(ref.objective, abs=1e-8)
 
+    def test_infinite_upper_bound_is_no_bound(self):
+        # ``(0, inf)`` used to become an ``x <= inf`` row whose rhs turned
+        # B⁻¹b into NaN: "optimal", x = [nan, 0], warm_started.
+        c, a = [-1.0, -1.0], [[1.0, 1.0]]
+        results = []
+        for bounds in ([(0, None), (0, 3)], [(0, np.inf), (0, 3)]):
+            first = solve_simplex(c, a_ub=a, b_ub=[4.0], bounds=bounds)
+            warm = solve_simplex(c, a_ub=a, b_ub=[5.0], bounds=bounds, initial_basis=first.basis)
+            results.append((first, warm))
+        for plain, infinite in zip(*results):
+            assert (plain.status, plain.iterations, plain.basis) == (
+                infinite.status, infinite.iterations, infinite.basis
+            )
+            assert plain.x.tobytes() == infinite.x.tobytes()
+        warm = results[1][1]
+        assert warm.warm_started and warm.x.tolist() == [5.0, 0.0] and warm.objective == -5.0
+
+    def test_nan_vertex_counts_as_stale(self):
+        # An infinite rhs makes B⁻¹b NaN (inf·0), and ``nan < -1e-7`` is False:
+        # the staleness test must send it to the cold path, not read it out.
+        c, a = [-1.0, -1.0], [[1.0, 1.0], [1.0, 0.0]]
+        basis = solve_simplex(c, a_ub=a, b_ub=[5.0, 7.0]).basis
+        with np.errstate(invalid="ignore"):
+            res = solve_simplex(c, a_ub=a, b_ub=[5.0, np.inf], initial_basis=basis)
+        assert res.success and not res.warm_started
+        assert np.isfinite(res.x).all() and res.objective == -5.0
+
     def test_infeasible_program_still_detected(self):
         # x <= -1 with x >= 0 is infeasible regardless of warm basis.
         res = solve_simplex([1.0], a_ub=[[1.0]], b_ub=[-1.0], initial_basis=(0,))

@@ -179,6 +179,28 @@ def test_join_with_no_primary_ever_gets_a_typed_unavailable_verdict():
     assert not plane.stats.stranded  # a typed verdict, not a strand
 
 
+def test_unknown_city_is_a_typed_verdict_and_the_run_continues():
+    # An unknown source city has no home shard and an unknown receiver city no
+    # attachment: both used to raise KeyError out of EventScheduler.run.
+    scheduler = EventScheduler()
+    plane = ShardedControlPlane(3, fleet_of(CITIES), scheduler)
+    scheduler.schedule_at(0.1, plane.submit, spec(1, "Atlantis", ["Seattle"]))
+    scheduler.schedule_at(0.2, plane.submit, spec(2, "Seattle", ["Chicago", "Atlantis"]))
+    scheduler.schedule_at(0.3, plane.submit, spec(3, "Seattle", ["Chicago"]))
+    for sid in (1, 2, 3):
+        scheduler.schedule_at(0.4 + sid / 10, plane.depart, sid)
+    scheduler.run(until=2.0)
+    plane.stop()
+    assert [(v.session_id, v.status, v.lp_solves) for v in plane.verdicts] == [
+        (1, AdmissionStatus.REJECTED_INFEASIBLE, 0),
+        (2, AdmissionStatus.REJECTED_INFEASIBLE, 0),
+        (3, AdmissionStatus.ADMITTED, 1),
+    ]
+    assert all("Atlantis" in v.reason for v in plane.verdicts[:2])
+    assert plane.departed == [1, 2, 3] and plane.active_sessions == 0
+    assert not plane.stats.stranded
+
+
 def test_leave_overtaking_a_delayed_join_still_drains():
     scheduler, plane = make_plane()
     s = spec(1, CITIES[0], CITIES[1:2])
