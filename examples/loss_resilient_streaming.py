@@ -13,7 +13,7 @@ Run:  python examples/loss_resilient_streaming.py     (~30 s)
 
 import numpy as np
 
-from repro.apps.file_transfer import install_control_relay
+from repro.apps.file_transfer import ControlRelay
 from repro.apps.streaming import StreamingReceiver, StreamingSource
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
@@ -44,7 +44,7 @@ def run_stream(extra: int, loss_p: float, seed: int = 3) -> dict:
     )
     relay.configure_session(session.session_id, VnfRole.RECODER, session.coding)
     relay.forwarding_table = ForwardingTable({session.session_id: ["viewer"]})
-    install_control_relay(relay, "studio")
+    ControlRelay(relay, "studio")
 
     k = session.coding.blocks_per_generation
     stream_rate = 10.0  # Mbps of video

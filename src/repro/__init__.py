@@ -16,8 +16,6 @@ Public surface (see the package docstrings for detail):
   the driver applications;
 - :mod:`repro.experiments` — the butterfly testbed and the six-DC
   dynamic scenario behind the paper's figures;
-- :mod:`repro.functions` — pluggable relay functions (the paper's
-  modularization direction);
 - :mod:`repro.cli` — ``python -m repro.cli`` experiment runner.
 """
 

@@ -11,6 +11,24 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+#: Alias-expanded calls that read the host's clock: the one list behind
+#: RL001 (anywhere in the package), RL006 (inside a handler body) and
+#: RL010 (reachable from a handler).
+WALL_CLOCK_CALLS = (
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+)
+
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:
     """Map local names to the fully qualified names they import.

@@ -31,7 +31,7 @@ from typing import Sequence
 from repro.analysis.findings import Finding
 
 #: Bump when finding semantics change (rule rewrites, engine behaviour).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 DEFAULT_CACHE_PATH = ".repro-analysis-cache.json"
 

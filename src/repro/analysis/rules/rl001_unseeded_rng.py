@@ -15,9 +15,10 @@ flags everything else:
 - any call into the stdlib :mod:`random` module (its global state is
   process-seeded),
 - ``random.Random()`` without a seed,
-- wall-clock reads (``time.time`` / ``time.time_ns`` / ``monotonic`` /
-  ``perf_counter``) — simulated components must use the scheduler's
-  ``now``.
+- wall-clock reads (``time.time`` / ``monotonic`` / ``perf_counter`` /
+  ``process_time`` / ``datetime.now`` …, the shared
+  :data:`~repro.analysis.astutil.WALL_CLOCK_CALLS`) — simulated
+  components must use the scheduler's ``now``.
 
 Scope: files under a ``repro`` package directory only.  Tests and
 benchmarks may manage randomness however they like (the repo's fixtures
@@ -30,19 +31,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import call_name, dotted_name
+from repro.analysis.astutil import WALL_CLOCK_CALLS, call_name, dotted_name
 from repro.analysis.engine import SourceModule
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ModuleRule, register
-
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-}
 
 _STDLIB_RANDOM_PREFIX = "random."
 
@@ -134,7 +126,7 @@ class UnseededRngRule(ModuleRule):
                 f"stdlib {qualified}() uses process-global state: use a seeded np.random.Generator",
             )
             return
-        if qualified in _WALL_CLOCK:
+        if qualified in WALL_CLOCK_CALLS:
             yield self._finding(
                 node,
                 module,

@@ -29,28 +29,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutil import call_name, last_component
+from repro.analysis.astutil import WALL_CLOCK_CALLS, call_name, last_component
 from repro.analysis.engine import SourceModule
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ModuleRule, register
 
 _SCHEDULE_NAMES = {"schedule", "schedule_at", "schedule_every"}
-
-#: Qualified wall-clock reads (alias-expanded where the import allows).
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.date.today",
-}
 
 #: Method names that are file I/O no matter the receiver.
 _FILE_IO_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
@@ -100,7 +84,7 @@ class HandlerPurityRule(ModuleRule):
             if not isinstance(node, ast.Call):
                 continue
             qualified = call_name(node, module.aliases)
-            if qualified in _WALL_CLOCK:
+            if qualified in WALL_CLOCK_CALLS:
                 yield self._finding(
                     node,
                     module,

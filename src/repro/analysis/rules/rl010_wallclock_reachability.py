@@ -30,28 +30,15 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
+from repro.analysis.astutil import WALL_CLOCK_CALLS
 from repro.analysis.findings import Finding
 from repro.analysis.registry import GraphRule, register
 
 if TYPE_CHECKING:
     from repro.analysis.graph import FunctionInfo, ProjectGraph
 
-#: Wall-clock reads and blocking sleeps (alias-expanded call names).
-_SINKS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.sleep",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.date.today",
-}
+#: Wall-clock reads plus this rule's own extra, the blocking sleep.
+_SINKS = {*WALL_CLOCK_CALLS, "time.sleep"}
 
 _HANDLER_PREFIXES = ("on_", "_on_", "handle_", "_handle_")
 

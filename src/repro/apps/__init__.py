@@ -15,7 +15,6 @@ from repro.apps.file_transfer import (
     StripedReceiverAdapter,
     StripedSourceApp,
     TreeForwarder,
-    install_control_relay,
 )
 from repro.apps.streaming import StreamingReceiver, StreamingSource
 
@@ -27,7 +26,6 @@ __all__ = [
     "TreeForwarder",
     "ControlRelay",
     "RepairingControlRelay",
-    "install_control_relay",
     "StreamingSource",
     "StreamingReceiver",
 ]

@@ -107,7 +107,6 @@ class NcSourceApp:
         rng: np.random.Generator | None = None,
         total_generations: int | None = None,
         cache_generations: int = 4096,
-        enable_control: bool = True,
     ):
         if data_rate_mbps <= 0:
             raise ValueError("data rate must be positive")
@@ -150,8 +149,7 @@ class NcSourceApp:
         self._repair_drain_running = False
         self._last_repair_at: dict[int, float] = {}
         self.repair_dedupe_s = 0.08        # collapse duplicate NACKs (two receivers)
-        if enable_control:
-            node.listen(ACK_PORT, self._on_control)
+        node.listen(ACK_PORT, self._on_control)
 
     def start(self) -> None:
         if self._running:
@@ -699,9 +697,6 @@ class ControlRelay:
     def retarget(self, next_hop: str) -> None:
         self.next_hop = next_hop
 
-    def uninstall(self) -> None:
-        self.node.unlisten(ACK_PORT)
-
     def _on_control(self, dgram: Datagram) -> None:
         self.node.send(self.next_hop, dgram.payload, dgram.payload_bytes, dst_port=ACK_PORT)
 
@@ -741,11 +736,6 @@ class RepairingControlRelay(ControlRelay):
         if sent:
             self._served[key] = self._served.get(key, 0) + 1
             self.local_repair_packets += sent
-
-
-def install_control_relay(node: Node, next_hop: str) -> ControlRelay:
-    """Bounce ACK/NACK control messages one hop toward the source."""
-    return ControlRelay(node, next_hop)
 
 
 class StripedSourceApp:

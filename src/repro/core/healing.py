@@ -15,18 +15,16 @@ the paper's own machinery — the delay-pruned feasible-path DFS
 (:class:`~repro.core.deployment.DeploymentProblem` over
 :mod:`repro.lp`) — on a topology view with the dead nodes and every
 link touching them excised.  The solved
-:class:`~repro.routing.conceptual.FlowDecomposition` is then lowered to
-exactly the artifacts the data plane consumes:
-
-- fresh per-relay forwarding tables (``NC_FORWARD_TAB`` payloads),
-- new source link shares and a goodput rate λ with the k+1-per-branch
-  repair margin applied (see ``SIDE_BRANCH_RATE_MBPS`` in
-  :mod:`repro.experiments.failures` for why the margin exists),
-- per-hop output shapes — including **zero** entries that clear stale
-  merge-point shapes (a T still skipping k/2 arrivals after the merge
-  is gone would silently halve the surviving branch),
-- reverse control paths for ACK/NACK traffic, so a receiver whose
-  feedback channel ran through the corpse is re-pointed too.
+:class:`~repro.routing.conceptual.FlowDecomposition` is then lowered by
+:func:`~repro.core.dataplane.lower_session` — the same lowering that
+stands a fresh plan up — to the
+:class:`~repro.core.dataplane.SessionWiring` the data plane consumes,
+and the post-failure margins are applied to its shares and λ.  Two of
+its parts exist for recovery's sake: **zero** skip entries that clear
+stale merge-point shapes (a T still skipping k/2 arrivals after the
+merge is gone would silently halve the surviving branch), and reverse
+control paths, so a receiver whose feedback channel ran through the
+corpse is re-pointed too.
 
 Everything here is pure planning over graph data: no scheduler, no I/O,
 bit-deterministic for a given topology and dead set.
@@ -34,48 +32,60 @@ bit-deterministic for a given topology and dead set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import networkx as nx
 
+from repro.core.dataplane import SessionWiring, lower_session
 from repro.core.deployment import DataCenterSpec, DeploymentProblem
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import MulticastSession
 from repro.lp import SolveError
 
-#: Default post-failure margins (fractions of the excised-topology LP
-#: optimum).  The wire share backs off below link capacity so headers
-#: and repair traffic fit; the goodput λ drops further so a generation
-#: carries ~k+1 packets per surviving branch — without the margin a
-#: receiver sees exactly k random recodes per generation and the
-#: GF(256) singular-matrix rate (~0.4 %) stalls the window for a NACK
-#: round-trip every few hundred generations.
+#: Post-failure margins, as fractions of the LP optimum of whatever
+#: topology survived.  On a single-corpse butterfly that optimum is one
+#: 35 Mbps branch per receiver: the wire share backs off to 34 Mbps
+#: (headers ride the wire too — 1500 B on the link move 1460 B of
+#: blocks — and repairs need headroom) and the goodput λ drops to
+#: 27 Mbps so every generation carries ~k+1 packets per branch —
+#: without that margin a receiver sees exactly k random recodes per
+#: generation and the GF(256) singular-matrix rate (~0.4 %) stalls the
+#: window for a NACK round-trip every few hundred generations.
 DEFAULT_WIRE_FRACTION = 34.0 / 35.0
 DEFAULT_GOODPUT_FRACTION = 27.0 / 35.0
-
-_RATE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class RecoveryPlan:
-    """A solved post-failure deployment, lowered to data-plane artifacts."""
+    """A solved post-failure deployment, lowered to its wiring."""
 
     dead_nodes: tuple[str, ...]
-    feasible: bool
-    #: Post-recovery goodput rate λ for the source (Mbps).
-    lambda_mbps: float = 0.0
+    #: The surviving routing with the margins applied; ``None`` when no
+    #: route survives.
+    wiring: SessionWiring | None = None
     #: LP optimum on the excised topology, before margins (Mbps).
     lp_lambda_mbps: float = 0.0
-    #: Source next hop -> wire share (Mbps).
-    source_shares: dict[str, float] = dataclass_field(default_factory=dict)
-    #: Surviving relay -> its fresh forwarding table.
-    tables: dict[str, ForwardingTable] = dataclass_field(default_factory=dict)
-    #: (relay, next hop) -> skip count.  Zero entries are meaningful:
-    #: they *clear* a stale merge-point shape on that hop.
-    hop_shapes: dict[tuple[str, str], int] = dataclass_field(default_factory=dict)
-    #: Receiver -> reverse control path (receiver first, source last).
-    control_paths: dict[str, tuple[str, ...]] = dataclass_field(default_factory=dict)
+
+    @property
+    def feasible(self) -> bool:
+        return self.wiring is not None
+
+    @property
+    def source_shares(self) -> dict[str, float]:
+        """Source next hop -> wire share (Mbps)."""
+        return dict(self.wiring.source_shares) if self.wiring is not None else {}
+
+    @property
+    def tables(self) -> dict[str, ForwardingTable]:
+        """Surviving relay -> its fresh forwarding table."""
+        if self.wiring is None:
+            return {}
+        sid = self.wiring.session_id
+        return {
+            relay: ForwardingTable({sid: list(wired.next_hops)})
+            for relay, wired in self.wiring.relays.items()
+        }
 
 
 def excised_view(graph: nx.DiGraph, dead: Iterable[str]) -> nx.DiGraph:
@@ -102,11 +112,12 @@ def plan_recovery(
     pretending to recover.
     """
     dead_set = frozenset(dead)
+    infeasible = RecoveryPlan(dead_nodes=tuple(sorted(dead_set)))
     if session.source in dead_set or any(r in dead_set for r in session.receivers):
-        return RecoveryPlan(dead_nodes=tuple(sorted(dead_set)), feasible=False)
+        return infeasible
     survivors = [r for r in relay_nodes if r not in dead_set]
     if not survivors:
-        return RecoveryPlan(dead_nodes=tuple(sorted(dead_set)), feasible=False)
+        return infeasible
     view = excised_view(graph, dead_set)
     specs = [
         DataCenterSpec(name, relay_capacity_mbps, relay_capacity_mbps, relay_capacity_mbps)
@@ -115,98 +126,21 @@ def plan_recovery(
     problem = DeploymentProblem(view, specs, alpha=alpha)
     demand = problem.build_demand(session)
     if not demand.has_feasible_paths():
-        return RecoveryPlan(dead_nodes=tuple(sorted(dead_set)), feasible=False)
+        return infeasible
     try:
         lp_plan = problem.solve([demand])
     except SolveError:
-        return RecoveryPlan(dead_nodes=tuple(sorted(dead_set)), feasible=False)
+        return infeasible
     sid = session.session_id
     lp_lambda = lp_plan.lambdas.get(sid, 0.0)
     if lp_lambda <= 1e-6:
-        return RecoveryPlan(dead_nodes=tuple(sorted(dead_set)), feasible=False)
-    link_rates = lp_plan.decompositions[sid].link_rates()
-
-    tables = _relay_tables(sid, link_rates, survivors)
-    shares = {
-        v: rate * wire_fraction
-        for (u, v), rate in sorted(link_rates.items())
-        if u == session.source and rate > _RATE_EPS
-    }
-    shapes = _merge_shapes(link_rates, tables, sid, session.coding.blocks_per_generation)
-    control = _control_paths(view, session)
+        return infeasible
+    # Sorted, so the source's share order after a replan does not depend
+    # on the order the LP's path enumeration met the links in.
+    link_rates = dict(sorted(lp_plan.decompositions[sid].link_rates().items()))
+    wiring = lower_session(link_rates, session, survivors, view, lp_lambda)
     return RecoveryPlan(
-        dead_nodes=tuple(sorted(dead_set)),
-        feasible=True,
-        lambda_mbps=lp_lambda * goodput_fraction,
+        dead_nodes=infeasible.dead_nodes,
+        wiring=wiring.scaled(wire_fraction, goodput_fraction),
         lp_lambda_mbps=lp_lambda,
-        source_shares=shares,
-        tables=tables,
-        hop_shapes=shapes,
-        control_paths=control,
     )
-
-
-def _relay_tables(
-    sid: int, link_rates: Mapping[tuple[str, str], float], survivors: Iterable[str]
-) -> dict[str, ForwardingTable]:
-    """Per-relay forwarding tables from the routed link rates."""
-    tables: dict[str, ForwardingTable] = {}
-    for relay in survivors:
-        hops = sorted(
-            v for (u, v), rate in link_rates.items() if u == relay and rate > _RATE_EPS
-        )
-        if hops:
-            tables[relay] = ForwardingTable({sid: hops})
-    return tables
-
-
-def _merge_shapes(
-    link_rates: Mapping[tuple[str, str], float],
-    tables: Mapping[str, ForwardingTable],
-    sid: int,
-    blocks_per_generation: int,
-) -> dict[tuple[str, str], int]:
-    """Output-shaping directives for every (relay, hop) in the new tables.
-
-    A relay fed by b ≥ 2 branches whose out-link carries only a
-    fraction of its inflow skips the complementary head of each
-    generation (the skip guarantees every emitted recode already mixes
-    the branches — the original butterfly's T merge).  Every other pair
-    gets an explicit 0: the directive that *clears* any stale shape.
-    """
-    shapes: dict[tuple[str, str], int] = {}
-    if blocks_per_generation < 2:
-        # Single-block generations cannot be split across branches; the
-        # drop-tail queue enforces the allocation (DESIGN.md §2).
-        return {(relay, hop): 0 for relay, table in tables.items() for hop in table.next_hops(sid)}
-    for relay, table in tables.items():
-        in_edges = [
-            rate for (u, v), rate in link_rates.items() if v == relay and rate > _RATE_EPS
-        ]
-        inflow = sum(in_edges)
-        for hop in table.next_hops(sid):
-            skip = 0
-            if len(in_edges) >= 2 and inflow > _RATE_EPS:
-                out = link_rates.get((relay, hop), 0.0)
-                fraction = max(0.0, 1.0 - out / inflow)
-                skip = int(round(blocks_per_generation * fraction))
-            shapes[(relay, hop)] = skip
-    return shapes
-
-
-def _control_paths(view: nx.DiGraph, session: MulticastSession) -> dict[str, tuple[str, ...]]:
-    """Reverse ACK/NACK paths: receiver first, source last.
-
-    Control traffic rides the reverse of the data links (every data
-    link has a low-rate reverse control link in the live topology), so
-    the delay-shortest surviving *data* path, reversed, is the control
-    route.
-    """
-    paths: dict[str, tuple[str, ...]] = {}
-    for receiver in session.receivers:
-        try:
-            forward = nx.shortest_path(view, session.source, receiver, weight="delay_ms")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            continue
-        paths[receiver] = tuple(reversed(forward))
-    return paths

@@ -1,6 +1,6 @@
 """End-to-end orchestration: controller signals configure a live data plane.
 
-Everything else in :mod:`repro.core` wires VNFs directly for convenience;
+The experiment harnesses configure their VNFs directly for convenience;
 this module exercises the *actual* control path of the paper's Fig. 2:
 
 1. the controller solves problem (2) over the network view;
@@ -8,10 +8,11 @@ this module exercises the *actual* control path of the paper's Fig. 2:
    nodes, links, dispatchers exist, but no VNF knows any session;
 3. a :class:`~repro.core.daemon.VnfDaemon` runs on every coding node,
    registered on the controller's :class:`~repro.core.signals.SignalBus`;
-4. the orchestrator sends ``NC_SETTINGS`` (roles, coding parameters,
-   output shapes) and ``NC_FORWARD_TAB`` (the text tables) to each
-   daemon, which starts the coding function (~376 ms) and applies the
-   table (the SIGUSR1 pause);
+4. the orchestrator sends each daemon the ``NC_SETTINGS`` (roles,
+   coding parameters, output shapes) and ``NC_FORWARD_TAB`` (the text
+   table) that :func:`~repro.core.dataplane.config_signals` emits from
+   the recorded wirings; the daemon starts the coding function
+   (~376 ms) and applies the table (the SIGUSR1 pause);
 5. ``NC_START`` to the source node kicks the transfer off.
 
 The integration test asserts the promise survives the whole signalling
@@ -25,14 +26,11 @@ from typing import Callable, Protocol
 
 import networkx as nx
 
-from repro.core.dataplane import LiveDeployment, build_data_plane
+from repro.core.dataplane import LiveDeployment, build_data_plane, config_signals
 from repro.core.daemon import VnfDaemon
 from repro.core.deployment import DataCenterSpec, DeploymentPlan, DeploymentProblem
-from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
 from repro.core.signals import (
-    NcForwardTab,
-    NcSettings,
     NcStart,
     Signal,
     SignalBus,
@@ -122,32 +120,18 @@ class Orchestrator:
             daemon = _ClusterDaemon(vnfs, bus, name, session_configs)
             orchestration.daemons[name] = daemon
 
-        # NC_SETTINGS + NC_FORWARD_TAB per node, from the plan's intent.
-        sessions_by_id = {s.session_id: s for s in sessions}
-        for name, per_session in deployment.intended.items():
-            roles = tuple((sid, role.value) for sid, (role, _, _) in per_session.items())
-            shapes = tuple(
-                (sid, hop, skip)
-                for sid, (_, _, shape) in per_session.items()
-                for hop, skip in shape.items()
+        # NC_SETTINGS + NC_FORWARD_TAB per node, from the wirings the
+        # blank data plane recorded.
+        for name in sorted(deployment.vnfs):
+            routed = [wiring for wiring in deployment.wirings.values() if name in wiring.relays]
+            settings, table = config_signals(
+                name, routed, fence=0, epoch=epoch, coding=session_configs[routed[0].session_id]
             )
-            any_session = sessions_by_id[next(iter(per_session))]
-            bus.send(
-                NcSettings(
-                    target=name,
-                    session_ids=tuple(per_session),
-                    roles=roles,
-                    udp_port=52017,
-                    generation_bytes=any_session.coding.generation_bytes,
-                    block_bytes=any_session.coding.block_bytes,
-                    shapes=shapes,
-                    epoch=epoch,
-                )
-            )
-            table = ForwardingTable({sid: hops for sid, (_, hops, _) in per_session.items()})
-            bus.send(NcForwardTab(target=name, table_text=table.serialize(), epoch=epoch))
+            bus.send(settings)
+            bus.send(table)
 
         # Sources wait for NC_START.
+        sessions_by_id = {s.session_id: s for s in sessions}
         for sid, source in deployment.sources.items():
             session = sessions_by_id[sid]
             bus.register(f"{session.source}/session{sid}", _StartHandler(source))

@@ -42,17 +42,23 @@ from dataclasses import dataclass, field as dataclass_field
 import networkx as nx
 
 from repro.apps.file_transfer import (
+    ACK_PORT,
     NcReceiverApp,
-    NcSourceApp,
     StripedReceiverAdapter,
     StripedSourceApp,
     TreeForwarder,
-    install_control_relay,
 )
 from repro.baselines.tcp import TcpAimdSimulator
-from repro.core.forwarding import ForwardingTable
+from repro.core.dataplane import (
+    Arq,
+    LiveDeployment,
+    RelayWiring,
+    SessionWiring,
+    bring_up,
+    chain_wiring,
+)
 from repro.core.session import CodingConfig, MulticastSession
-from repro.core.vnf import CodingVnf, VnfRole
+from repro.core.vnf import VnfRole
 from repro.net.loss import LossModel
 from repro.net.measurement import path_rtt
 from repro.net.topology import LinkSpec, Topology
@@ -68,22 +74,9 @@ BOTTLENECK_LINK = ("T", "V2")  # where the paper injects loss (netem)
 
 LINK_MBPS = 35.0
 
-# Directed data-plane links (all LINK_MBPS).
-BUTTERFLY_LINKS = [
-    ("V1", "O1"),
-    ("V1", "C1"),
-    ("O1", "O2"),
-    ("C1", "C2"),
-    ("O1", "T"),
-    ("C1", "T"),
-    ("T", "V2"),
-    ("V2", "O2"),
-    ("V2", "C2"),
-]
-BUTTERFLY_LINKS_MBPS = {edge: LINK_MBPS for edge in BUTTERFLY_LINKS}
-
-# One-way propagation delays (ms), placed so unloaded RTTs match Tab. II:
-# direct V1->O2 ≈ 90.9 ms RTT, V1->C2 ≈ 77.0 ms RTT, relayed ≈ 166 ms.
+# The nine directed data-plane links (all LINK_MBPS) with their one-way
+# propagation delays (ms), placed so unloaded RTTs match Tab. II: direct
+# V1->O2 ≈ 90.9 ms RTT, V1->C2 ≈ 77.0 ms RTT, relayed ≈ 166 ms.
 BUTTERFLY_DELAYS_MS = {
     ("V1", "O1"): 35.0,
     ("V1", "C1"): 31.0,
@@ -95,6 +88,8 @@ BUTTERFLY_DELAYS_MS = {
     ("V2", "O2"): 12.0,
     ("V2", "C2"): 11.0,
 }
+BUTTERFLY_LINKS = list(BUTTERFLY_DELAYS_MS)
+BUTTERFLY_LINKS_MBPS = {edge: LINK_MBPS for edge in BUTTERFLY_LINKS}
 
 # Direct Internet paths (capacity Mbps, one-way delay ms): long, thin,
 # slightly lossy — the situation relaying is meant to escape.
@@ -105,10 +100,14 @@ DIRECT_LINKS = {
 DIRECT_LOSS_RATE = 0.002
 
 # Reverse control paths used by ACK/NACK traffic (receiver -> source).
-CONTROL_PATHS = {"O2": ["O2", "O1", "V1"], "C2": ["C2", "C1", "V1"]}
+CONTROL_PATHS = {"O2": ("O2", "O1", "V1"), "C2": ("C2", "C1", "V1")}
 
 # The coding-VNF capacity used on the butterfly (Linode-class instance).
 VNF_CODING_MBPS = 300.0
+
+# Random streams (DESIGN §10): this alone keys the topology (links are
+# its children), + ("vnf" | "source", node) the relays and the source.
+STREAM = ("experiments.butterfly",)
 
 
 def butterfly_graph() -> nx.DiGraph:
@@ -134,8 +133,6 @@ def routing_only_capacity_mbps() -> float:
 DEFAULT_JITTER_S = 0.003  # Internet-realistic per-packet delay variation
 
 
-# Random streams (DESIGN §10): "experiments.butterfly" alone keys the
-# topology (links are its children), + ("vnf" | "source", node) the rest.
 def build_butterfly(
     loss_on_bottleneck: LossModel | None = None,
     include_direct_links: bool = False,
@@ -144,7 +141,7 @@ def build_butterfly(
     seed: int = 1,
 ) -> Topology:
     """Instantiate the butterfly as a live simulated topology."""
-    topo = Topology(rng=derive_rng("experiments.butterfly", seed=seed))
+    topo = Topology(rng=derive_rng(*STREAM, seed=seed))
     for name in (SOURCE, *RELAYS, *RECEIVERS):
         topo.add_node(name)
     for edge, cap in BUTTERFLY_LINKS_MBPS.items():
@@ -208,82 +205,46 @@ def _nc_source_shares(rate_mbps: float, blocks_per_generation: int, extra: int) 
     return {"O1": per_branch, "C1": per_branch}
 
 
-def _nc_forwarding_tables(session_id: int) -> dict:
-    """NC relay tables from the max-flow solution."""
-    return {
-        "O1": ForwardingTable({session_id: ["O2", "T"]}),
-        "C1": ForwardingTable({session_id: ["C2", "T"]}),
-        "T": ForwardingTable({session_id: ["V2"]}),
-        "V2": ForwardingTable({session_id: ["O2", "C2"]}),
-    }
+#: NC relay tables from the max-flow solution.  Preset data, not the
+#: sorted LP lowering: V2 serves ``O2`` before ``C2``, and every relay
+#: runs as the ``role`` the run asks for (all-RECODER under NC) — the
+#: lowering's sorted hops and FORWARDER non-merge nodes would change
+#: which recode draw goes to which receiver.
+NC_NEXT_HOPS = {"O1": ("O2", "T"), "C1": ("C2", "T"), "T": ("V2",), "V2": ("O2", "C2")}
 
 
-def _nc_hop_shapes(blocks_per_generation: int, extra: int) -> dict:
-    """Output shaping at the merge point T.
+def butterfly_wiring(
+    session: MulticastSession, rate_mbps: float, shares: dict, role: VnfRole = VnfRole.RECODER
+) -> SessionWiring:
+    """The butterfly's hand wiring at goodput ``rate_mbps``.
 
-    T receives both branches — k + extra packets per generation — but
-    its out-link T→V2 is allocated only half the session rate, so it
-    skips the first k/2 arrivals and emits one recode per arrival after
-    that (k/2 + extra per generation at steady state).  The skip
-    guarantees every emitted recode already mixes both branches
-    (emitting on the earliest arrivals would push one branch's subspace
-    downstream, useless to the receiver that hears that branch
-    directly); leaving the emission count uncapped lets end-to-end
-    repair packets pass through.  All other relays keep the paper's
-    default one-out-per-in pipelining.
+    Output shaping at the merge point T: it receives both branches —
+    k + extra packets per generation — but its out-link T→V2 is
+    allocated only half the session rate, so it skips the first k/2
+    arrivals and emits one recode per arrival after that (k/2 + extra
+    per generation at steady state).  The skip guarantees every emitted
+    recode already mixes both branches (emitting on the earliest
+    arrivals would push one branch's subspace downstream, useless to
+    the receiver that hears that branch directly); leaving the emission
+    count uncapped lets end-to-end repair packets pass through.  All
+    other relays keep the paper's default one-out-per-in pipelining.
+
+    A one-block generation cannot be split across branches: T forwards
+    what it gets and the T->V2 link's drop-tail enforces the allocation
+    (coding cannot help single-packet generations — one of the reasons
+    Fig. 4 falls off at tiny generation sizes).
     """
-    if blocks_per_generation == 1:
-        # A one-block generation cannot be split across branches: T
-        # forwards what it gets and the T->V2 link's drop-tail enforces
-        # the allocation (coding cannot help single-packet generations —
-        # one of the reasons Fig. 4 falls off at tiny generation sizes).
-        return {}
-    half = blocks_per_generation // 2
-    return {("T", "V2"): (half, None)}
-
-
-def _install_control_path(topo: Topology) -> None:
-    """Relay ACK/NACK control messages hop-by-hop toward the source."""
-    for path in CONTROL_PATHS.values():
-        for node_name, nxt in zip(path[1:-1], path[2:]):
-            try:
-                install_control_relay(topo.get(node_name), nxt)
-            except ValueError:
-                pass  # shared hop already installed
-
-
-def deploy_relays(
-    topo: Topology,
-    session: MulticastSession,
-    seed: int,
-    payload_mode: str,
-    role: VnfRole = VnfRole.RECODER,
-    tables: dict | None = None,
-    hop_shapes: dict | None = None,
-    coding_mbps: float = VNF_CODING_MBPS,
-) -> dict:
-    """Swap a configured coding VNF in for every relay host.
-
-    One VNF per entry of ``tables`` (default: the max-flow NC tables),
-    each coding off its own ``("vnf", name)`` stream of ``seed``,
-    configured for the session in ``role``, then given its forwarding
-    table and any ``hop_shapes``.  Returns relay name -> VNF.
-    """
-    tables = _nc_forwarding_tables(session.session_id) if tables is None else tables
-    relays = {}
-    for name in tables:
-        rng = derive_rng("experiments.butterfly", "vnf", name, seed=seed)
-        vnf = CodingVnf(
-            name, topo.scheduler, coding_capacity_mbps=coding_mbps, rng=rng, payload_mode=payload_mode
-        )
-        _swap_node(topo, name, vnf)
-        vnf.configure_session(session.session_id, role, session.coding)
-        relays[name] = vnf
-    for name, table in tables.items():
-        relays[name].forwarding_table = table
-    for (relay, hop), (skip, emit) in (hop_shapes or {}).items():
-        relays[relay].set_hop_shape(session.session_id, hop, skip, emit)
-    return relays
+    k = session.coding.blocks_per_generation
+    relays = {name: RelayWiring(role, hops) for name, hops in NC_NEXT_HOPS.items()}
+    if k > 1:
+        relays["T"] = RelayWiring(role, NC_NEXT_HOPS["T"], {"V2": k // 2})
+    return SessionWiring(
+        session_id=session.session_id,
+        relays=relays,
+        source_shares=shares,
+        control_paths=CONTROL_PATHS,
+        lambda_mbps=rate_mbps,
+    )
 
 
 def run_butterfly_nc(
@@ -311,39 +272,18 @@ def run_butterfly_nc(
     topo = build_butterfly(loss_on_bottleneck=loss_on_bottleneck, jitter_s=jitter_s, seed=seed)
     session = _make_session(blocks_per_generation, buffer_generations, redundancy)
 
-    deploy_relays(
-        topo,
+    shares = _nc_source_shares(rate_mbps, blocks_per_generation, redundancy.extra)
+    live = bring_up(
+        LiveDeployment(topo),
         session,
-        seed,
-        payload_mode,
-        hop_shapes=_nc_hop_shapes(blocks_per_generation, redundancy.extra),
-        coding_mbps=vnf_coding_mbps,
-    )
-
-    reliability = window_generations is not None
-    if reliability:
-        _install_control_path(topo)
-    receivers = {
-        name: NcReceiverApp(
-            topo.get(name),
-            session,
-            payload_mode=payload_mode,
-            ack_to=CONTROL_PATHS[name][1] if reliability else None,
-        )
-        for name in RECEIVERS
-    }
-    source = NcSourceApp(
-        topo.get(SOURCE),
-        session,
-        link_shares=_nc_source_shares(rate_mbps, blocks_per_generation, redundancy.extra),
-        data_rate_mbps=rate_mbps,
+        butterfly_wiring(session, rate_mbps, shares),
+        stream=STREAM,
+        seed=seed,
         payload_mode=payload_mode,
-        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
-        window_generations=window_generations,
+        coding_mbps=vnf_coding_mbps,
+        arq=Arq(window_generations) if window_generations is not None else None,
     )
-    source.start()
-    topo.run(until=duration_s + warmup_s)
-    return _collect(topo, source, receivers, warmup_s, duration_s, window_s)
+    return _run(topo, *live.endpoints(session.session_id), warmup_s, duration_s, window_s)
 
 
 def run_butterfly_non_nc(
@@ -369,10 +309,10 @@ def run_butterfly_non_nc(
     if mode not in ("striped", "flooding"):
         raise ValueError("mode must be 'striped' or 'flooding'")
     topo = build_butterfly(loss_on_bottleneck=loss_on_bottleneck, seed=seed)
-    rng = derive_rng("experiments.butterfly", "source", SOURCE, seed=seed)
     session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
 
     if mode == "striped":
+        # A different data plane (TreeForwarder / StripedSourceApp), wired here.
         solution = tree_packing_solution(butterfly_graph(), SOURCE, list(RECEIVERS), relay_nodes=set(RELAYS))
         trees = [(i, rate) for i, (_, rate) in enumerate(solution)]
         first_hops = {i: sorted(v for (u, v) in edges if u == SOURCE) for i, (edges, _) in enumerate(solution)}
@@ -383,7 +323,7 @@ def run_butterfly_non_nc(
                 if hops:
                     tree_hops[name][i] = hops
         for name in RELAYS:
-            _swap_node(topo, name, TreeForwarder(name, topo.scheduler, tree_hops[name]))
+            topo.replace_node(TreeForwarder(name, topo.scheduler, tree_hops[name]))
         if rate_mbps is None:
             rate_mbps = 0.98 * sum(rate for _, rate in trees)  # just inside the optimum
         receivers = {}
@@ -398,39 +338,25 @@ def run_butterfly_non_nc(
             tree_first_hops=first_hops,
             data_rate_mbps=rate_mbps,
             payload_mode=payload_mode,
-            rng=rng,
+            rng=derive_rng(*STREAM, "source", SOURCE, seed=seed),
         )
     else:
         # Flooding: the NC topology with coding switched off.
-        deploy_relays(topo, session, seed, payload_mode, role=VnfRole.FORWARDER)
         if rate_mbps is None:
             rate_mbps = LINK_MBPS  # T->V2 must carry every block once
-        reliability = window_generations is not None
-        if reliability:
-            _install_control_path(topo)
-        receivers = {
-            name: NcReceiverApp(
-                topo.get(name),
-                session,
-                payload_mode=payload_mode,
-                ack_to=CONTROL_PATHS[name][1] if reliability else None,
-            )
-            for name in RECEIVERS
-        }
-        source = NcSourceApp(
-            topo.get(SOURCE),
+        live = bring_up(
+            LiveDeployment(topo),
             session,
-            link_shares=SOURCE_SHARES,
-            data_rate_mbps=rate_mbps,
-            coded=False,
+            butterfly_wiring(session, rate_mbps, SOURCE_SHARES, role=VnfRole.FORWARDER),
+            stream=STREAM,
+            seed=seed,
             payload_mode=payload_mode,
-            rng=rng,
-            window_generations=window_generations,
+            coding_mbps=VNF_CODING_MBPS,
+            arq=Arq(window_generations) if window_generations is not None else None,
+            coded=False,
         )
-
-    source.start()
-    topo.run(until=duration_s + warmup_s)
-    return _collect(topo, source, receivers, warmup_s, duration_s, window_s)
+        source, receivers = live.endpoints(session.session_id)
+    return _run(topo, source, receivers, warmup_s, duration_s, window_s)
 
 
 def run_direct_tcp(duration_s: float = 40.0, loss_rate: float = DIRECT_LOSS_RATE, seed: int = 7) -> dict:
@@ -439,12 +365,14 @@ def run_direct_tcp(duration_s: float = 40.0, loss_rate: float = DIRECT_LOSS_RATE
     for (src, dst), (cap, delay_ms) in DIRECT_LINKS.items():
         rtt = 2 * delay_ms / 1e3
         sim = TcpAimdSimulator(capacity_mbps=cap, rtt_s=rtt, loss_rate=loss_rate)
-        out[dst] = sim.run(duration_s, derive_rng("experiments.butterfly", "tcp", dst, seed=seed))["mean_mbps"]
+        out[dst] = sim.run(duration_s, derive_rng(*STREAM, "tcp", dst, seed=seed))["mean_mbps"]
     out["session"] = min(v for k, v in out.items() if k != "session")
     return out
 
 
-def _collect(topo, source, receivers, warmup_s, duration_s, window_s) -> ButterflyResult:
+def _run(topo, source, receivers, warmup_s, duration_s, window_s) -> ButterflyResult:
+    source.start()
+    topo.run(until=duration_s + warmup_s)
     result = ButterflyResult(
         topology=topo, receivers=receivers, sent_generations=source.sent_generations, source=source
     )
@@ -482,25 +410,22 @@ def measure_delays(payload_mode: str = "coefficients-only", seed: int = 11) -> d
 
 def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: int) -> float:
     """Send one generation along a relay chain; time until the ACK returns."""
-    from repro.apps.file_transfer import ACK_PORT
-
     topo = build_butterfly(seed=seed)
     session = _make_session(4, 1024, RedundancyPolicy(0))
-    chain = {name: ForwardingTable({session.session_id: [nxt]}) for name, nxt in zip(path[1:-1], path[2:])}
-    deploy_relays(
-        topo, session, seed, payload_mode, role=VnfRole.RECODER if coding else VnfRole.FORWARDER, tables=chain
+    role = VnfRole.RECODER if coding else VnfRole.FORWARDER
+    live = bring_up(
+        LiveDeployment(topo),
+        session,
+        chain_wiring(session, path, role, 5.0, {path[1]: 5.0}),  # a single unloaded generation
+        stream=STREAM,
+        seed=seed,
+        payload_mode=payload_mode,
+        coding_mbps=VNF_CODING_MBPS,
+        arq=Arq(ack_immediately=True),
+        total_generations=1,
     )
+    source, receivers = live.endpoints(session.session_id)
 
-    receiver_name = path[-1]
-    receiver = NcReceiverApp(
-        topo.get(receiver_name), session, payload_mode=payload_mode, ack_to=path[-2], ack_immediately=True
-    )
-    # Route the ACK back along the reverse chain.
-    reverse = list(reversed(path))
-    for node_name, nxt in zip(reverse[1:-1], reverse[2:]):
-        install_control_relay(topo.get(node_name), nxt)
-
-    source_node = topo.get(SOURCE)
     ack_time: dict = {}
 
     def _on_ack(dgram):
@@ -508,30 +433,12 @@ def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: i
         if isinstance(message, tuple) and message[0] == "cum_ack" and message[3] >= 0:
             ack_time.setdefault("t", topo.scheduler.now)
 
-    source_node.listen(ACK_PORT, _on_ack)
-    source = NcSourceApp(
-        source_node,
-        session,
-        link_shares={path[1]: 5.0},
-        data_rate_mbps=5.0,  # a single unloaded generation
-        payload_mode=payload_mode,
-        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
-        total_generations=1,
-        enable_control=False,  # the test harness owns the ACK port here
-    )
+    # The probe takes the ACK port over from the source.
+    source.node.unlisten(ACK_PORT)
+    source.node.listen(ACK_PORT, _on_ack)
     source.start()
     topo.run(until=5.0)
     if "t" not in ack_time:
         raise RuntimeError(f"no ACK received along {path}")
-    assert receiver.completed, "generation must have decoded for the ACK to exist"
+    assert receivers[path[-1]].completed, "generation must have decoded for the ACK to exist"
     return ack_time["t"] - (source.first_generation_sent_at or 0.0)
-
-
-def _swap_node(topo: Topology, name: str, replacement) -> None:
-    """Replace a Host with a specialized node, rewiring its links."""
-    topo.nodes[name] = replacement
-    for (u, v), link in topo.links.items():
-        if u == name:
-            replacement.attach_out(link)
-        if v == name:
-            replacement.attach_in(link)

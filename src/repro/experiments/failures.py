@@ -29,53 +29,28 @@ recovery times.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dataclass_field
 
-from repro.apps.file_transfer import (
-    ControlRelay,
-    NcReceiverApp,
-    NcSourceApp,
-    RepairingControlRelay,
-)
 from repro.core.controller import Controller, HeartbeatMonitor
-from repro.core.daemon import VnfDaemon
-from repro.core.healing import RecoveryPlan, plan_recovery
+from repro.core.dataplane import Arq, LiveDeployment, RelayWiring, bring_up, config_signals
+from repro.core.healing import plan_recovery
 from repro.core.scaling import ScalingEngine
-from repro.core.signals import NcForwardTab, NcHeartbeat, NcSettings, Signal, SignalBus
+from repro.core.signals import NcHeartbeat, Signal, SignalBus
 from repro.experiments.butterfly import (
-    CONTROL_PATHS,
-    LINK_MBPS,
-    RECEIVERS,
     RELAYS,
-    SOURCE,
+    STREAM,
     VNF_CODING_MBPS,
     _make_session,
-    _nc_hop_shapes,
     _nc_source_shares,
     build_butterfly,
     butterfly_graph,
-    deploy_relays,
+    butterfly_wiring,
 )
-from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.net.events import PeriodicEvent
 from repro.rlnc.redundancy import RedundancyPolicy
 from repro.util.rng import derive_rng
-
-#: Post-recovery margins, expressed at the 35 Mbps butterfly link so the
-#: headline numbers stay readable.  The LP optimum on any single-corpse
-#: butterfly is one 35 Mbps branch per receiver; the wire share backs
-#: off to 34 Mbps (headers ride the wire too: 1500 B on the link move
-#: 1460 B of blocks, and repairs need headroom) and the goodput λ drops
-#: to 27 Mbps so every generation carries ~k+1 packets per branch —
-#: without that margin a receiver sees exactly k random recodes per
-#: generation and the GF(256) singular-matrix rate (~0.4 %) stalls the
-#: window for a NACK round-trip every few hundred generations.  The
-#: harness feeds the *ratios* (34/35, 27/35) into
-#: :func:`repro.core.healing.plan_recovery`, which applies them to the
-#: LP optimum of whatever topology actually survived.
-SIDE_BRANCH_RATE_MBPS = 27.0
-SIDE_BRANCH_SHARE_MBPS = 34.0
-
 
 @dataclass
 class FailoverResult:
@@ -167,61 +142,33 @@ def run_butterfly_failover(
     session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
     bus = SignalBus(topo.scheduler, latency_s=bus_latency_s)
 
-    static_shapes = _nc_hop_shapes(blocks_per_generation, 0)
-    relays = deploy_relays(topo, session, seed, payload_mode, hop_shapes=static_shapes)
-
-    # Control plane: one daemon per relay, emitting heartbeats.  The
-    # data plane was configured directly above, so the coding function
-    # is already up — mark it so pushed tables apply immediately.
-    daemons = {}
-    for name, vnf in relays.items():
-        daemon = VnfDaemon(vnf, bus, heartbeat_interval_s=heartbeat_interval_s)
-        daemon.function_running = True
-        daemons[name] = daemon
-
-    result = FailoverResult(fail_node=fail_node, failed_at=fail_at_s)
-
-    # Control path: re-targetable relay objects so recovery can move the
-    # reverse ACK/NACK route off a dead node.  With relay_repair, relays
-    # that are also recoding VNFs answer NACKs from local coded state.
-    control_relays: dict = {}
-
-    def _ensure_control_relay(node_name: str, next_hop: str) -> None:
-        existing = control_relays.get(node_name)
-        if existing is not None:
-            existing.retarget(next_hop)
-            return
-        node = topo.get(node_name)
-        if relay_repair and node_name in relays:
-            control_relays[node_name] = RepairingControlRelay(node, next_hop, relays[node_name])
-        else:
-            control_relays[node_name] = ControlRelay(node, next_hop)
-
-    for path in CONTROL_PATHS.values():
-        for node_name, nxt in zip(path[1:-1], path[2:]):
-            _ensure_control_relay(node_name, nxt)
-    result.control_relays = control_relays
-
-    receivers = {
-        name: NcReceiverApp(
-            topo.get(name),
-            session,
-            payload_mode=payload_mode,
-            ack_to=CONTROL_PATHS[name][1],
-            retain_decoded=retain_decoded,
-        )
-        for name in RECEIVERS
-    }
-    source = NcSourceApp(
-        topo.get(SOURCE),
+    # Control plane: one daemon per relay, emitting heartbeats.  Control
+    # path: re-targetable relay objects so recovery can move the reverse
+    # ACK/NACK route off a dead node; with relay_repair, relays that are
+    # also recoding VNFs answer NACKs from local coded state.
+    static = butterfly_wiring(
+        session, rate_mbps, _nc_source_shares(rate_mbps, blocks_per_generation, 0)
+    )
+    live = bring_up(
+        LiveDeployment(topo),
         session,
-        link_shares=_nc_source_shares(rate_mbps, blocks_per_generation, 0),
-        data_rate_mbps=rate_mbps,
+        static,
+        stream=STREAM,
+        seed=seed,
         payload_mode=payload_mode,
-        rng=derive_rng("experiments.butterfly", "source", SOURCE, seed=seed),
-        window_generations=window_generations,
+        coding_mbps=VNF_CODING_MBPS,
+        bus=bus,
+        heartbeat_interval_s=heartbeat_interval_s,
+        arq=Arq(window_generations=window_generations),
+        relay_repair=relay_repair,
         total_generations=total_generations,
     )
+    source, receivers = live.endpoints(session.session_id)
+    for app in receivers.values():
+        app.retain_decoded = retain_decoded  # read when a generation decodes
+
+    result = FailoverResult(fail_node=fail_node, failed_at=fail_at_s)
+    result.control_relays = live.control_relays
 
     # Each healing replan gets a fresh config epoch (> 0, the epoch of
     # the static pre-failure config), so a pre-failure NC_FORWARD_TAB
@@ -238,57 +185,49 @@ def run_butterfly_failover(
             return
         # Full re-optimization over the surviving topology: feasible-path
         # DFS + LP deployment with every dead node excised.
-        recovery: RecoveryPlan = plan_recovery(
+        recovery = plan_recovery(
             butterfly_graph(),
             session,
             result.dead_nodes,
             RELAYS,
             relay_capacity_mbps=VNF_CODING_MBPS,
-            wire_fraction=SIDE_BRANCH_SHARE_MBPS / LINK_MBPS,
-            goodput_fraction=SIDE_BRANCH_RATE_MBPS / LINK_MBPS,
         )
         result.recovery_plans.append(recovery)
-        if not recovery.feasible:
+        if recovery.wiring is None:
             return  # typed outcome: no surviving route; ARQ alone from here
+        wiring = recovery.wiring
         recovery_epoch[0] += 1
-        epoch = recovery_epoch[0]
-        for relay, table in sorted(recovery.tables.items()):
-            if bus.is_registered(relay):
-                bus.send(NcForwardTab(target=relay, table_text=table.serialize(), epoch=epoch))
         # Hop shapes: the plan covers every (relay, hop) it routes —
         # zero entries clear stale merge shapes.  Statically installed
         # shapes on hops the new plan does not route get explicit clears
         # too, so no survivor keeps skipping arrivals for a merge that
         # no longer exists.
-        shapes_by_relay: dict = {}
-        for (relay, hop), skip in recovery.hop_shapes.items():
-            shapes_by_relay.setdefault(relay, []).append((session.session_id, hop, skip))
-        for relay, hop in static_shapes:
-            if relay not in result.dead_nodes and (relay, hop) not in recovery.hop_shapes:
-                shapes_by_relay.setdefault(relay, []).append((session.session_id, hop, 0))
-        for relay, shapes in sorted(shapes_by_relay.items()):
-            if bus.is_registered(relay):
-                bus.send(
-                    NcSettings(
-                        target=relay,
-                        session_ids=(session.session_id,),
-                        shapes=tuple(sorted(shapes)),
-                        epoch=epoch,
-                    )
-                )
+        relays = dict(wiring.relays)
+        for relay, wired in static.relays.items():
+            routed = relays.get(relay, RelayWiring(wired.role, ()))
+            stale = {hop: 0 for hop in wired.skips if hop not in routed.skips}
+            if stale and relay not in result.dead_nodes:
+                relays[relay] = dataclasses.replace(routed, skips={**routed.skips, **stale})
+        pushed = dataclasses.replace(wiring, relays=relays)
+        pushes = {
+            relay: config_signals(relay, [pushed], fence=0, epoch=recovery_epoch[0])
+            for relay in sorted(relays)
+            if bus.is_registered(relay)
+        }
+        for relay, (_, table) in pushes.items():
+            if relays[relay].next_hops:
+                bus.send(table)
+        for settings, _ in pushes.values():
+            bus.send(settings)
         source.reconfigure(
-            data_rate_mbps=recovery.lambda_mbps, link_shares=dict(recovery.source_shares)
+            data_rate_mbps=wiring.lambda_mbps, link_shares=dict(wiring.source_shares)
         )
         # Re-route the reverse control paths (O2's NACK channel dies
         # with O1 — without this the window would starve silently).
         for receiver_name, app in receivers.items():
-            path = recovery.control_paths.get(receiver_name)
-            if path is None or len(path) < 2:
-                app.retarget_acks(None)  # no reverse route survives
-                continue
-            app.retarget_acks(path[1])
-            for node_name, nxt in zip(path[1:-1], path[2:]):
-                _ensure_control_relay(node_name, nxt)
+            path = wiring.control_paths.get(receiver_name, ())
+            app.retarget_acks(path[1] if len(path) >= 2 else None)  # None: no reverse route survives
+        live.route_feedback(wiring.control_paths, relay_repair)
 
     monitor = HeartbeatMonitor(
         topo.scheduler,
@@ -307,12 +246,7 @@ def run_butterfly_failover(
 
     if plan is None:
         plan = FaultPlan([FaultEvent(fail_at_s, FaultKind.NODE_CRASH, fail_node)])
-    injector = FaultInjector(topo.scheduler, plan)
-    injector.add_topology(topo)
-    for name, daemon in daemons.items():
-        injector.add_daemon(name, daemon)
-    injector.set_bus(bus)
-    injector.arm()
+    injector = live.arm_faults(plan, bus)
 
     if churn_hook is not None:
         churn_hook(topo.scheduler, bus)
@@ -323,7 +257,7 @@ def run_butterfly_failover(
     # -- metrics -------------------------------------------------------
     result.applied_faults = list(injector.applied)
     result.undeliverable_signals = len(bus.undeliverable)
-    result.heartbeats_sent = {name: d.heartbeats_sent for name, d in daemons.items()}
+    result.heartbeats_sent = {name: d.heartbeats_sent for name, d in live.daemons.items()}
     if result.detected_at is not None:
         result.detection_latency_s = result.detected_at - fail_at_s
     latencies = []
@@ -346,7 +280,7 @@ def run_butterfly_failover(
     result.topology = topo
     result.source = source
     result.receivers = receivers
-    result.daemons = daemons
+    result.daemons = live.daemons
     result.monitor = monitor
     result.bus = bus
     return result

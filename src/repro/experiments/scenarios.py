@@ -34,14 +34,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 from repro.adapt.controller import AdaptiveRedundancyController, AdaptPolicy
 from repro.adapt.reporter import LinkReporter, receiver_probe
-from repro.apps.file_transfer import ControlRelay, NcReceiverApp, NcSourceApp
 from repro.baselines.tcp import TcpAimdSimulator
-from repro.core.daemon import VnfDaemon
-from repro.core.forwarding import ForwardingTable
+from repro.core.dataplane import Arq, LiveDeployment, bring_up, chain_wiring
 from repro.core.session import CodingConfig, MulticastSession
 from repro.core.signals import SignalBus
-from repro.core.vnf import CodingVnf, VnfRole
-from repro.faults import FaultInjector, FaultPlan
+from repro.core.vnf import VnfRole
+from repro.faults import FaultPlan
 from repro.net.loss import BurstLoss
 from repro.net.topology import LinkSpec, Topology
 from repro.rlnc.redundancy import RedundancyPolicy
@@ -208,13 +206,8 @@ def build_chain(preset: ScenarioPreset, loss: float, seed: int) -> Topology:
     """The preset's chain topology with per-hop burst loss installed."""
     topo = Topology(rng=derive_rng("experiments.scenarios", preset.name, seed=seed))
     per_hop = preset.per_hop_loss(loss)
-    topo.add_node(preset.source)
-    for name in preset.relays:
-        rng = derive_rng("experiments.scenarios", preset.name, "vnf", name, seed=seed)
-        topo.add_node(
-            CodingVnf(name, topo.scheduler, payload_mode="coefficients-only", rng=rng)
-        )
-    topo.add_node(preset.receiver)
+    for name in preset.nodes:
+        topo.add_node(name)
     for hop, (a, b) in enumerate(zip(preset.nodes, preset.nodes[1:])):
         loss_model = (
             BurstLoss(per_hop, correlation=preset.loss_correlation)
@@ -266,42 +259,23 @@ def run_scenario(
         source=preset.source, receivers=[preset.receiver], coding=config
     )
 
-    daemons: dict[str, VnfDaemon] = {}
-    for index, name in enumerate(preset.relays):
-        vnf = topo.get(name)
-        assert isinstance(vnf, CodingVnf)
-        vnf.configure_session(session.session_id, VnfRole.RECODER, config)
-        table = ForwardingTable()
-        table.set_next_hops(session.session_id, [preset.nodes[index + 2]])
-        vnf.forwarding_table = table
-        daemon = VnfDaemon(vnf, bus)
-        daemon.function_running = True  # data plane configured directly
-        daemons[name] = daemon
-
-    # Reverse control path: each relay bounces ACK/NACK one hop back.
-    control_relays = [
-        ControlRelay(topo.get(name), preset.nodes[index - 1])
-        for index, name in enumerate(preset.relays, start=1)
-    ]
-
-    receiver = NcReceiverApp(
-        topo.get(preset.receiver),
+    shares = _wire_shares(preset, config)
+    live = bring_up(
+        LiveDeployment(topo),
         session,
-        payload_mode="coefficients-only",
-        ack_to=preset.relays[-1] if preset.relays else preset.source,
-        ack_interval_s=0.05,
-        stall_generations=4,
-        stall_timeout_s=max(0.3, 2.5 * preset.one_way_delay_s),
+        chain_wiring(session, preset.nodes, VnfRole.RECODER, preset.data_rate_mbps, shares),
+        stream=("experiments.scenarios", preset.name),
+        seed=seed,
+        bus=bus,
+        arq=Arq(
+            window_generations=preset.window_generations,
+            ack_interval_s=0.05,
+            stall_generations=4,
+            stall_timeout_s=max(0.3, 2.5 * preset.one_way_delay_s),
+        ),
     )
-    source = NcSourceApp(
-        topo.get(preset.source),
-        session,
-        link_shares=_wire_shares(preset, config),
-        data_rate_mbps=preset.data_rate_mbps,
-        payload_mode="coefficients-only",
-        rng=derive_rng("experiments.scenarios", preset.name, "source", preset.source, seed=seed),
-        window_generations=preset.window_generations,
-    )
+    source, receivers = live.endpoints(session.session_id)
+    receiver = receivers[preset.receiver]
 
     controller: AdaptiveRedundancyController | None = None
     reporter: LinkReporter | None = None
@@ -328,16 +302,10 @@ def run_scenario(
             interval_s=preset.report_interval_s,
         )
 
-    injector: FaultInjector | None = None
+    injector = None
     if plan is not None:
-        injector = FaultInjector(scheduler, plan)
-        injector.add_topology(topo)
-        for name, daemon in daemons.items():
-            injector.add_daemon(name, daemon)
-        if reporter is not None:
-            injector.add_daemon(REPORTER_HANDLE, reporter)
-        injector.set_bus(bus)
-        injector.arm()
+        handles = {REPORTER_HANDLE: reporter} if reporter is not None else {}
+        injector = live.arm_faults(plan, bus, **handles)
 
     source.start()
     topo.run(until=duration_s)
@@ -366,7 +334,7 @@ def run_scenario(
         receiver=receiver,
         controller=controller,
         reporter=reporter,
-        daemons=daemons,
+        daemons=live.daemons,
         bus=bus,
         topology=topo,
     )
@@ -377,13 +345,9 @@ def run_scenario(
         result.retunes_pushed = controller.retunes_pushed
         result.stall_entries = controller.stall_entries
         result.transitions = list(controller.transitions)
-    result.retunes_applied = sum(
-        topo.get(name).retunes_applied for name in preset.relays  # type: ignore[attr-defined]
-    )
+    result.retunes_applied = sum(vnf.retunes_applied for vnfs in live.vnfs.values() for vnf in vnfs)
     if injector is not None:
         result.applied_faults = list(injector.applied)
-    # Keep references alive for introspection (and to silence linters).
-    del control_relays
     return result
 
 

@@ -28,7 +28,6 @@ from repro.net.loss import UniformLoss
 
 if TYPE_CHECKING:  # imports only for type checkers; no runtime cycle
     from repro.cloud.vm import VirtualMachine
-    from repro.core.daemon import VnfDaemon
     from repro.core.signals import SignalBus, SignalRecord
     from repro.net.link import Link
     from repro.net.topology import Topology
@@ -68,6 +67,18 @@ class ControllerTarget(Protocol):
     def restore(self) -> None: ...
 
 
+class DaemonTarget(Protocol):
+    """What DAEMON_KILL / DAEMON_RESTART need: a killable, restartable process.
+
+    Satisfied by :class:`repro.core.daemon.VnfDaemon` and by the adaptive
+    loop's :class:`repro.adapt.reporter.LinkReporter`.
+    """
+
+    def kill(self) -> None: ...
+
+    def restart(self) -> None: ...
+
+
 class _SignalRule:
     """One-shot drop/delay rule applied to the next matching delivery."""
 
@@ -87,7 +98,7 @@ class FaultInjector:
         self.plan = plan
         self._vms: dict[str, "VirtualMachine"] = {}
         self._links: dict[str, "Link"] = {}
-        self._daemons: dict[str, "VnfDaemon"] = {}
+        self._daemons: dict[str, DaemonTarget] = {}
         self._controllers: dict[str, ControllerTarget] = {}
         self._node_links: dict[str, list[str]] = {}
         self._bus: "SignalBus | None" = None
@@ -106,7 +117,7 @@ class FaultInjector:
         self._node_links.setdefault(src, []).append(key)
         self._node_links.setdefault(dst, []).append(key)
 
-    def add_daemon(self, name: str, daemon: "VnfDaemon") -> None:
+    def add_daemon(self, name: str, daemon: DaemonTarget) -> None:
         self._daemons[name] = daemon
 
     def add_controller(self, name: str, controller: ControllerTarget) -> None:

@@ -105,16 +105,6 @@ class GenerationBuffer:
             self._highest_evicted = oldest_id
         self.last_evicted = oldest_id
 
-    def release(self, generation_id: int) -> int:
-        """Forget a generation (after decode/forward); returns its packet count."""
-        packets = self._generations.pop(generation_id, 0)
-        self.stored_packets -= packets
-        return packets
-
-    def clear(self) -> None:
-        self._generations.clear()
-        self.stored_packets = 0
-
     def __repr__(self) -> str:
         return (
             f"GenerationBuffer({len(self)}/{self.capacity_generations} generations, "

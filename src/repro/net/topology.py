@@ -81,6 +81,16 @@ class Topology:
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
 
+    def replace_node(self, node: Node) -> None:
+        """Swap ``node`` in for the node of the same name, rewiring its links."""
+        self.get(node.name)
+        self.nodes[node.name] = node
+        for (src, dst), link in self.links.items():
+            if src == node.name:
+                node.attach_out(link)
+            if dst == node.name:
+                node.attach_in(link)
+
     def add_link(self, spec: LinkSpec) -> Link:
         """Instantiate one directed link from a spec and wire it up."""
         key = (spec.src, spec.dst)

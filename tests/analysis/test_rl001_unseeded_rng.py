@@ -95,6 +95,21 @@ class TestFires:
         )
         assert active_ids(findings) == ["RL001", "RL001"]
 
+    def test_wall_clock_sinks_shared_with_rl006_and_rl010(self):
+        # RL001's own copy of the list lacked process_time and datetime.
+        findings = lint(
+            """
+            import time
+            from datetime import datetime
+
+            stamp = datetime.now()
+            cpu = time.process_time()
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001", "RL001"]
+        assert "datetime.now" in findings[0].message
+
     def test_default_factory_fallback(self):
         findings = lint(
             """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.file_transfer import ACK_PORT, NcReceiverApp, NcSourceApp, install_control_relay
+from repro.apps.file_transfer import ACK_PORT, ControlRelay, NcReceiverApp, NcSourceApp
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
 from repro.core.vnf import NC_PORT, CodingVnf, VnfRole
@@ -32,7 +32,7 @@ def make_session():
 def wire_session(topo, relay, session, rng, loss_repair=True, **source_kwargs):
     relay.configure_session(session.session_id, VnfRole.RECODER, session.coding)
     relay.forwarding_table = ForwardingTable({session.session_id: ["dst"]})
-    install_control_relay(relay, "src")
+    ControlRelay(relay, "src")
     receiver = NcReceiverApp(
         topo.get("dst"),
         session,
@@ -128,7 +128,7 @@ class TestReliability:
         session = relay_config
         relay.configure_session(session.session_id, VnfRole.FORWARDER, session.coding)
         relay.forwarding_table = ForwardingTable({session.session_id: ["dst"]})
-        install_control_relay(relay, "src")
+        ControlRelay(relay, "src")
         receiver = NcReceiverApp(topo.get("dst"), session, payload_mode="coefficients-only", ack_to="relay")
         source = NcSourceApp(
             topo.get("src"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.file_transfer import install_control_relay
+from repro.apps.file_transfer import ControlRelay
 from repro.apps.streaming import StreamingReceiver, StreamingSource
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
@@ -25,7 +25,7 @@ def make_stream(rng, loss=None, playout_delay_s=0.5):
     session = MulticastSession(source="src", receivers=["dst"], coding=CodingConfig())
     relay.configure_session(session.session_id, VnfRole.RECODER, session.coding)
     relay.forwarding_table = ForwardingTable({session.session_id: ["dst"]})
-    install_control_relay(relay, "src")
+    ControlRelay(relay, "src")
     source = StreamingSource(
         topo.get("src"),
         session,

@@ -52,12 +52,9 @@ def test_buffer_never_exceeds_capacity(capacity, operations):
         if buf.add(gen_id, duplicate=duplicate and gen_id in buf):
             accepted.append(gen_id)
         assert len(buf) <= capacity
-    # The stored count is the accepted arrivals of the live generations,
-    # and releasing them one by one hands exactly that back.
+    # The stored count is the accepted arrivals of the live generations.
     live = set(buf.generations())
     assert buf.stored_packets == sum(g in live for g in accepted)
-    assert sum(buf.release(g) for g in live) == sum(g in live for g in accepted)
-    assert buf.stored_packets == 0
 
 
 @given(

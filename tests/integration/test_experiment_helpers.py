@@ -6,11 +6,13 @@ import pytest
 from repro.experiments.butterfly import (
     BUTTERFLY_DELAYS_MS,
     BUTTERFLY_LINKS_MBPS,
-    _nc_hop_shapes,
+    _make_session,
     _nc_source_shares,
     build_butterfly,
+    butterfly_wiring,
 )
 from repro.experiments.dynamic import generate_sessions, region_delay_ms
+from repro.rlnc.redundancy import RedundancyPolicy
 
 
 class TestButterflyHelpers:
@@ -27,9 +29,14 @@ class TestButterflyHelpers:
             _nc_source_shares(70.0, 4, 2)  # 70 * 6/8 = 52.5 > 35 per branch
 
     def test_hop_shapes(self):
-        assert _nc_hop_shapes(4, 0) == {("T", "V2"): (2, None)}
-        assert _nc_hop_shapes(8, 1) == {("T", "V2"): (4, None)}
-        assert _nc_hop_shapes(1, 0) == {}
+        def shapes(k, extra):
+            session = _make_session(k, 1024, RedundancyPolicy(extra))
+            wiring = butterfly_wiring(session, 30.0, _nc_source_shares(30.0, k, extra))
+            return {(relay, hop): skip for relay, wired in wiring.relays.items() for hop, skip in wired.skips.items()}
+
+        assert shapes(4, 0) == {("T", "V2"): 2}
+        assert shapes(8, 1) == {("T", "V2"): 4}
+        assert shapes(1, 0) == {}
 
     def test_topology_delays_match_spec(self):
         topo = build_butterfly()

@@ -73,7 +73,6 @@ class TestDirtyWireHardening:
         assert buf.add(0) is True
         assert buf.add(0, duplicate=True) is False  # wire-duplicated copy
         assert buf.stored_packets == 1
-        assert buf.release(0) == 1
         assert buf.duplicate_packets == 1
 
     def test_distinct_packets_of_a_generation_still_fit(self):
@@ -130,25 +129,6 @@ class TestDirtyWireHardening:
         assert len(buf) == 2
         assert buf.stored_packets == 2  # one live copy per buffered generation
         assert buf.evicted_generations == 2
-
-
-class TestRelease:
-    def test_release_removes(self):
-        buf = GenerationBuffer(4)
-        buf.add(3)
-        assert buf.release(3) == 1
-        assert 3 not in buf
-        assert buf.stored_packets == 0
-
-    def test_release_missing_is_empty(self):
-        assert GenerationBuffer(4).release(7) == 0
-
-    def test_clear(self):
-        buf = GenerationBuffer(4)
-        buf.add(0)
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.stored_packets == 0
 
 
 class TestEvictionReport:
