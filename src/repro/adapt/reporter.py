@@ -114,7 +114,6 @@ class LinkReporter:
         probe: Callable[[], LinkSample],
         interval_s: float = 0.5,
         ewma_alpha: float = 0.3,
-        controller_name: str = CONTROLLER_NAME,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("report interval must be positive")
@@ -127,7 +126,7 @@ class LinkReporter:
         self.probe = probe
         self.interval_s = interval_s
         self.ewma_alpha = ewma_alpha
-        self.controller_name = controller_name
+        self.controller_name = CONTROLLER_NAME
         self.alive = True
         self.reports_sent = 0
         self.restarts = 0

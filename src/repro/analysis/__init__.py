@@ -17,14 +17,14 @@ engine with repo-specific rules:
 ``RL007``  forwarding-table string literals the real parser would reject
 ``RL008``  ``MeasurementService`` started but never stopped in scope
 ``RL009``  config signals constructed without a live ``epoch=`` stamp
-``RL010``  handlers transitively reaching wall-clock calls (call graph)
 ``RL011``  ``CodedPacket`` buffered without a dominating ``verify()``
+``RL012``  concrete ``SignalBus`` annotated where ``SignalPort`` suffices
 =========  =================================================================
 
-RL009–RL011 are whole-program rules over the project symbol/call graph
-(``graph.py``); the package also ships an autofixer (``fixes.py``), an
-incremental cache (``cache.py``), and a SARIF/baseline CI gate
-(``sarif.py`` / ``baseline.py``) — see ``DESIGN.md`` §12.
+RL009 and RL011 are whole-program rules over the project symbol/call
+graph (``graph.py``); one pass — collect, parse, module rules,
+whole-program rules, suppressions, report (text / JSON / SARIF) — is
+all there is: see ``DESIGN.md`` §12.
 
 Findings can be suppressed per line with ``# repro-lint: disable=RL001``
 (or ``disable-next-line=`` / ``disable-file=``); see ``DESIGN.md``.

@@ -1,20 +1,8 @@
 """CLI: ``python -m repro.analysis [paths...] [options]``.
 
-Modes (DESIGN.md §12):
-
-- **lint** (default): analyze, print text/json/SARIF, exit 1 on
-  active findings.
-- **--fix [--dry-run]**: apply (or preview) the mechanical rewrites
-  for fixable rules, then re-lint; exit status reflects what remains.
-- **--baseline FILE**: ratchet gate — exit 1 only on findings *not*
-  in the committed baseline; ``--update-baseline`` rewrites it.
-- **--changed-only --base REF**: whole-program analysis, but report
-  (and gate) only findings in files the diff touches.
-- **--cache [FILE]**: persistent incremental cache keyed on content
-  hashes and the active rule set.
-
-Exit status: 0 when the gate passes, 1 when findings (or new-vs-
-baseline findings) exist, 2 on usage errors.
+Analyze, print text / JSON / SARIF, optionally also write a SARIF file
+(DESIGN.md §12).  Exit status: 0 when there is no active finding, 1
+when there is one, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,16 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
-from repro.analysis.cache import DEFAULT_CACHE_PATH, load_cache
-from repro.analysis.changed import changed_python_files
-from repro.analysis.engine import AnalysisResult, analyze_paths, select_rules
-from repro.analysis.fixes import fix_paths, render_fix_report
+from repro.analysis.engine import analyze_paths
 from repro.analysis.registry import all_rules
 from repro.analysis.report import render_json, render_text
 from repro.analysis.sarif import render_sarif
@@ -49,40 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ignore", metavar="RULES", help="comma-separated rule ids to skip")
     parser.add_argument("--show-suppressed", action="store_true", help="include suppressed findings in text output")
     parser.add_argument("--list-rules", action="store_true", help="print the rule catalogue and exit")
-    fix = parser.add_argument_group("autofix")
-    fix.add_argument("--fix", action="store_true", help="apply mechanical rewrites for fixable rules")
-    fix.add_argument("--dry-run", action="store_true", help="with --fix: print diffs, touch nothing")
-    gate = parser.add_argument_group("CI gate")
-    gate.add_argument(
-        "--sarif", metavar="FILE", help="also write a SARIF 2.1.0 report to FILE"
-    )
-    gate.add_argument(
-        "--baseline",
-        metavar="FILE",
-        nargs="?",
-        const=DEFAULT_BASELINE_PATH,
-        help=f"fail only on findings not in FILE (default: {DEFAULT_BASELINE_PATH})",
-    )
-    gate.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    gate.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report only findings in files changed vs. --base (analysis stays whole-program)",
-    )
-    gate.add_argument("--base", default="origin/main", help="diff base for --changed-only (default: origin/main)")
-    perf = parser.add_argument_group("performance")
-    perf.add_argument(
-        "--cache",
-        metavar="FILE",
-        nargs="?",
-        const=DEFAULT_CACHE_PATH,
-        help=f"persistent incremental cache (default file: {DEFAULT_CACHE_PATH})",
-    )
-    perf.add_argument("--jobs", type=int, metavar="N", help="parallel analysis workers")
+    parser.add_argument("--sarif", metavar="FILE", help="also write a SARIF 2.1.0 report to FILE")
     return parser
 
 
@@ -92,18 +38,6 @@ def _split(raw: str | None) -> list[str] | None:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _run_fix(args: argparse.Namespace) -> int:
-    result = fix_paths(args.paths, select=_split(args.select), dry_run=args.dry_run)
-    print(render_fix_report(result, dry_run=args.dry_run))
-    if args.dry_run:
-        return 0
-    if result.failed_files:
-        return 1
-    # One pass converges; what remains is unfixable and still gates.
-    remaining = analyze_paths(args.paths, select=_split(args.select), ignore=_split(args.ignore))
-    return remaining.exit_code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -111,66 +45,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{rule.rule_id}  {rule.name:<24}  {rule.description}")
         return 0
     try:
-        if args.fix:
-            return _run_fix(args)
-
-        cache = None
-        if args.cache is not None:
-            rules = select_rules(_split(args.select), _split(args.ignore))
-            cache = load_cache(args.cache, [r.rule_id for r in rules])
-        result = analyze_paths(
-            args.paths,
-            select=_split(args.select),
-            ignore=_split(args.ignore),
-            cache=cache,
-            jobs=args.jobs,
-        )
-        if cache is not None:
-            cache.save()
+        result = analyze_paths(args.paths, select=_split(args.select), ignore=_split(args.ignore))
     except (FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.changed_only:
-        changed = changed_python_files(args.base)
-        if changed is None:
-            print(
-                f"warning: cannot diff against {args.base!r}; reporting all findings",
-                file=sys.stderr,
-            )
-        else:
-            result = result.restrict_to(set(changed))
 
     if args.sarif:
         with open(args.sarif, "w", encoding="utf-8") as fh:
             fh.write(render_sarif(result))
 
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE_PATH
-        count = save_baseline(target, result.active)
-        print(f"baseline {target}: {count} accepted finding(s)")
-        return 0
-
-    gated: AnalysisResult = result
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        fresh = new_findings(result.findings, baseline)
-        gated = AnalysisResult(
-            findings=fresh,
-            files_scanned=result.files_scanned,
-            rules_run=list(result.rules_run),
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            files_parsed=result.files_parsed,
-        )
-
     if args.fmt == "json":
-        print(render_json(gated))
+        print(render_json(result))
     elif args.fmt == "sarif":
-        print(render_sarif(gated), end="")
+        print(render_sarif(result), end="")
     else:
-        print(render_text(gated, show_suppressed=args.show_suppressed))
-    return gated.exit_code
+        print(render_text(result, show_suppressed=args.show_suppressed))
+    return result.exit_code
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ import ast
 from typing import Iterator
 
 #: Alias-expanded calls that read the host's clock: the one list behind
-#: RL001 (anywhere in the package), RL006 (inside a handler body) and
-#: RL010 (reachable from a handler).
+#: RL001 (anywhere in the package) and RL006 (inside a handler body).
 WALL_CLOCK_CALLS = (
     "time.time",
     "time.time_ns",

@@ -1,35 +1,27 @@
 """Walk files, parse, run rules, apply suppressions.
 
-The engine pipeline: collect ``.py`` files (deduplicated across
-overlapping path arguments), hash and parse each into a
-:class:`SourceModule` (AST + suppression index), run every module rule
-per module, build the whole-program :class:`~repro.analysis.graph.ProjectGraph`
-once and run project/graph rules over it, then mark suppressed
-findings.  Syntax errors *and* undecodable files become ``RL000``
-findings rather than crashes so a broken file cannot hide the rest of
-the tree.
+One pass: collect ``.py`` files (deduplicated across overlapping path
+arguments), parse each into a :class:`SourceModule` (AST + suppression
+index), run every module rule per module, build the whole-program
+:class:`~repro.analysis.graph.ProjectGraph` once and run project/graph
+rules over it, then mark suppressed findings.  Syntax errors *and*
+undecodable files become ``RL000`` findings rather than crashes so a
+broken file cannot hide the rest of the tree.
 
-Two performance layers keep full-tree analysis CI-fast:
-
-- file loading + per-module rules run in a ``concurrent.futures``
-  thread pool (:func:`analyze_paths`'s ``jobs``), and
-- an optional :class:`~repro.analysis.cache.AnalysisCache` serves
-  content-hash-keyed results for unchanged files and an unchanged
-  module set without re-parsing anything (see ``cache.py``).
+:func:`run_rules` is that pass over already-parsed modules;
+:func:`analyze_paths`, :func:`analyze_source` and
+:func:`analyze_modules` differ only in how they obtain the modules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.astutil import import_aliases
-from repro.analysis.cache import AnalysisCache, content_hash
 from repro.analysis.findings import Finding
 from repro.analysis.graph import ProjectGraph, build_graph
 from repro.analysis.registry import GraphRule, ModuleRule, ProjectRule, Rule, all_rules
@@ -38,8 +30,6 @@ from repro.analysis.suppressions import SuppressionIndex, scan_suppressions
 SYNTAX_ERROR_RULE = "RL000"
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "build", "dist"}
-
-_DEFAULT_JOBS = min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -68,9 +58,6 @@ class AnalysisResult:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: list[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    files_parsed: int = 0
 
     @property
     def active(self) -> list[Finding]:
@@ -84,29 +71,13 @@ class AnalysisResult:
     def exit_code(self) -> int:
         return 1 if self.active else 0
 
-    def restrict_to(self, paths: set[str]) -> "AnalysisResult":
-        """A copy whose findings are limited to ``paths`` (posix).
-
-        Whole-program analysis still ran over everything — this only
-        narrows what is *reported*, which is what ``--changed-only``
-        wants: cross-module rules stay sound, the report stays scoped.
-        """
-        return AnalysisResult(
-            findings=[f for f in self.findings if f.path in paths],
-            files_scanned=self.files_scanned,
-            rules_run=list(self.rules_run),
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            files_parsed=self.files_parsed,
-        )
-
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
     Overlapping arguments (``src src/repro``, ``./src ../repo/src``,
     a file plus the directory containing it) are deduplicated by
-    normalized path, so no file is ever analyzed — or fixed — twice.
+    normalized path, so no file is ever analyzed twice.
     """
     out: dict[str, Path] = {}
 
@@ -136,40 +107,41 @@ def _error_finding(path: Path, line: int, col: int, message: str) -> Finding:
     )
 
 
-def load_module(path: Path, data: bytes | None = None) -> tuple[SourceModule | None, Finding | None]:
-    """Parse one file; returns (module, None) or (None, typed finding).
-
-    Files that are not valid UTF-8, contain null bytes, or fail to
-    parse produce an ``RL000`` finding instead of raising — a binary
-    blob with a ``.py`` extension must not take down the whole run.
-    """
-    if data is None:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            return None, _error_finding(path, 1, 0, f"unreadable file: {exc}")
-    try:
-        source = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return None, _error_finding(
-            path, 1, 0, f"file is not valid UTF-8 (byte offset {exc.start}): cannot analyze"
-        )
+def parse_module(path: Path, source: str) -> SourceModule | Finding:
+    """Parse ``source`` as the file at ``path``: a module, or its ``RL000``."""
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, _error_finding(
+        return _error_finding(
             path, exc.lineno or 1, (exc.offset or 1) - 1, f"syntax error: {exc.msg}"
         )
     except ValueError as exc:  # e.g. null bytes in source
-        return None, _error_finding(path, 1, 0, f"unparseable file: {exc}")
-    module = SourceModule(
+        return _error_finding(path, 1, 0, f"unparseable file: {exc}")
+    return SourceModule(
         path=path,
         source=source,
         tree=tree,
         suppressions=scan_suppressions(source),
         aliases=import_aliases(tree),
     )
-    return module, None
+
+
+def load_module(path: Path) -> SourceModule | Finding:
+    """Read and parse one file: a module, or a typed ``RL000`` finding.
+
+    Files that are unreadable, not valid UTF-8, contain null bytes, or
+    fail to parse produce a finding instead of raising — a binary blob
+    with a ``.py`` extension must not take down the whole run.
+    """
+    try:
+        source = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        return _error_finding(path, 1, 0, f"unreadable file: {exc}")
+    except UnicodeDecodeError as exc:
+        return _error_finding(
+            path, 1, 0, f"file is not valid UTF-8 (byte offset {exc.start}): cannot analyze"
+        )
+    return parse_module(path, source)
 
 
 def _mark_suppressed(finding: Finding, modules_by_path: dict[str, SourceModule]) -> Finding:
@@ -206,23 +178,13 @@ def select_rules(
     return rules
 
 
-def _run_module_rules(
-    module: SourceModule, rules: Sequence[Rule]
-) -> list[Finding]:
-    """Module-rule findings for one module, suppression-marked."""
+def run_rules(modules: Sequence[SourceModule], rules: Sequence[Rule]) -> list[Finding]:
+    """The pass: module rules, whole-program rules, suppressions; sorted."""
     findings: list[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ModuleRule) and rule.applies_to(module):
-            findings.extend(rule.check_module(module))
-    by_path = {module.posix_path: module}
-    return [_mark_suppressed(f, by_path) for f in findings]
-
-
-def _run_whole_program_rules(
-    modules: list[SourceModule], rules: Sequence[Rule]
-) -> list[Finding]:
-    """Project- and graph-rule findings, suppression-marked."""
-    findings: list[Finding] = []
+    for module in modules:
+        for rule in rules:
+            if isinstance(rule, ModuleRule) and rule.applies_to(module):
+                findings.extend(rule.check_module(module))
     graph: ProjectGraph | None = None
     for rule in rules:
         if isinstance(rule, ProjectRule):
@@ -232,114 +194,25 @@ def _run_whole_program_rules(
                 graph = build_graph(modules)
             findings.extend(rule.check_graph(graph))
     modules_by_path = {m.posix_path: m for m in modules}
-    return [_mark_suppressed(f, modules_by_path) for f in findings]
-
-
-def _program_fingerprint(hashes: dict[str, str]) -> str:
-    """Fingerprint of the exact (path, content) set under analysis."""
-    digest = hashlib.sha256()
-    for posix_path in sorted(hashes):
-        digest.update(posix_path.encode())
-        digest.update(b"\0")
-        digest.update(hashes[posix_path].encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return sorted((_mark_suppressed(f, modules_by_path) for f in findings), key=Finding.sort_key)
 
 
 def analyze_paths(
     paths: Sequence[str | Path],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    cache: AnalysisCache | None = None,
-    jobs: int | None = None,
 ) -> AnalysisResult:
     """Run the active rules over every ``.py`` file under ``paths``."""
     rules = select_rules(select, ignore)
-    result = AnalysisResult(rules_run=[rule.rule_id for rule in rules])
     files = collect_files(paths)
-    result.files_scanned = len(files)
-    workers = max(1, jobs if jobs is not None else _DEFAULT_JOBS)
-
-    # Phase 1: read + hash every file (I/O, parallel).
-    def _read(path: Path) -> tuple[Path, bytes | None, str | None]:
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return path, None, None
-        return path, data, content_hash(data)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        raw_files = list(pool.map(_read, files))
-
-    hashes = {path.as_posix(): sha for path, _, sha in raw_files if sha is not None}
-    fingerprint = _program_fingerprint(hashes)
-
-    # Phase 2: fully-warm fast path — every file hash hits the cache
-    # and the whole-program slice matches the module-set fingerprint:
-    # no parsing at all.
-    if cache is not None:
-        cached_project = cache.lookup_project(fingerprint)
-        cached_modules: list[list[Finding]] = []
-        if cached_project is not None:
-            for path, data, sha in raw_files:
-                if sha is None:
-                    break
-                hit = cache.lookup(path.as_posix(), sha)
-                if hit is None:
-                    break
-                cached_modules.append(hit)
-            else:
-                for found in cached_modules:
-                    result.findings.extend(found)
-                result.findings.extend(cached_project)
-                result.findings.sort(key=Finding.sort_key)
-                result.cache_hits = cache.hits
-                result.cache_misses = cache.misses
-                return result
-
-    # Phase 3: parse everything (whole-program rules need every AST),
-    # but serve module-rule findings from the cache where content is
-    # unchanged.
-    module_rules = [r for r in rules if isinstance(r, ModuleRule)]
-
-    def _analyze_file(
-        item: tuple[Path, bytes | None, str | None],
-    ) -> tuple[SourceModule | None, list[Finding], str | None]:
-        path, data, sha = item
-        module, error = load_module(path, data)
-        if error is not None:
-            cached = cache.lookup(path.as_posix(), sha) if cache is not None and sha else None
-            if cached is not None:
-                return None, cached, None
-            return None, [error], sha
-        assert module is not None
-        cached = cache.lookup(module.posix_path, sha) if cache is not None and sha else None
-        if cached is not None:
-            return module, cached, None  # None sha: already stored
-        return module, _run_module_rules(module, module_rules), sha
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        analyzed = list(pool.map(_analyze_file, raw_files))
-
-    modules: list[SourceModule] = []
-    for (path, _, sha), (module, findings, new_sha) in zip(raw_files, analyzed):
-        if module is not None:
-            modules.append(module)
-            result.files_parsed += 1
-        result.findings.extend(findings)
-        if cache is not None and new_sha is not None:
-            cache.store(path.as_posix(), new_sha, findings)
-
-    project_findings = _run_whole_program_rules(modules, rules)
-    result.findings.extend(project_findings)
-    if cache is not None:
-        cache.store_project(fingerprint, project_findings)
-        cache.prune(set(hashes))
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-
-    result.findings.sort(key=Finding.sort_key)
-    return result
+    loaded = [load_module(path) for path in files]
+    modules = [m for m in loaded if isinstance(m, SourceModule)]
+    errors = [e for e in loaded if isinstance(e, Finding)]
+    return AnalysisResult(
+        findings=sorted(errors + run_rules(modules, rules), key=Finding.sort_key),
+        files_scanned=len(files),
+        rules_run=[rule.rule_id for rule in rules],
+    )
 
 
 def analyze_source(
@@ -355,23 +228,10 @@ def analyze_source(
     is exactly what single-file fixtures want.
     """
     rules = select_rules(select)
-    tree_path = Path(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            _error_finding(tree_path, exc.lineno or 1, (exc.offset or 1) - 1, f"syntax error: {exc.msg}")
-        ]
-    module = SourceModule(
-        path=tree_path,
-        source=source,
-        tree=tree,
-        suppressions=scan_suppressions(source),
-        aliases=import_aliases(tree),
-    )
-    findings = _run_module_rules(module, rules)
-    findings.extend(_run_whole_program_rules([module], rules))
-    return sorted(findings, key=Finding.sort_key)
+    module = parse_module(Path(path), source)
+    if isinstance(module, Finding):
+        return [module]
+    return run_rules([module], rules)
 
 
 def analyze_modules(
@@ -379,9 +239,4 @@ def analyze_modules(
     select: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Lint already-parsed modules together (multi-module fixtures)."""
-    rules = select_rules(select)
-    findings: list[Finding] = []
-    for module in modules:
-        findings.extend(_run_module_rules(module, [r for r in rules if isinstance(r, ModuleRule)]))
-    findings.extend(_run_whole_program_rules(modules, rules))
-    return sorted(findings, key=Finding.sort_key)
+    return run_rules(modules, select_rules(select))

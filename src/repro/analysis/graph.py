@@ -1,8 +1,8 @@
-"""Whole-program symbol / import / call graph.
+"""Whole-program symbol / call graph.
 
 The per-file rules see one module at a time; the cross-module rules
-(RL009–RL011) need to answer questions like "is this handler's
-transitive callee set wall-clock-free?" or "does every caller of this
+(RL009, RL011) need to answer questions like "which signal class does
+this constructor call resolve to?" or "does every caller of this
 function verify the packet first?".  :class:`ProjectGraph` is built
 once per analysis run from the already-parsed :class:`SourceModule`
 set and offers three views:
@@ -17,17 +17,12 @@ set and offers three views:
   within a class (including single-level base classes resolvable in
   the project), and ``Class()`` constructions mapping to
   ``Class.__init__``.  Unresolvable targets are kept as *external*
-  dotted names — that is exactly what the wall-clock rule needs.
-
-The graph also exposes a content :meth:`fingerprint` so the
-incremental cache can key whole-program results on the exact module
-set that produced them.
+  dotted names.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -74,8 +69,6 @@ class FunctionInfo:
     #: Dotted names of calls that did not resolve inside the project
     #: (stdlib, third party, dynamic) — alias-expanded where possible.
     external_calls: set[str] = field(default_factory=set)
-    #: (external dotted name, line) pairs, for precise finding anchors.
-    external_sites: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -90,20 +83,17 @@ class ClassInfo:
 
 
 class ProjectGraph:
-    """Symbol table + import graph + conservative call graph."""
+    """Symbol table + conservative call graph."""
 
     def __init__(self, modules: Iterable["SourceModule"]) -> None:
         self.modules: dict[str, "SourceModule"] = {}
-        self.module_by_path: dict[str, str] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.imports: dict[str, set[str]] = {}
         #: name -> qualname for module-level symbols, per module.
         self._module_symbols: dict[str, dict[str, str]] = {}
         for module in modules:
             name = module_name_for(module.path.parts)
             self.modules[name] = module
-            self.module_by_path[module.posix_path] = name
         for name, module in self.modules.items():
             self._index_module(name, module)
         for name, module in self.modules.items():
@@ -115,10 +105,6 @@ class ProjectGraph:
     def _index_module(self, mod_name: str, module: "SourceModule") -> None:
         symbols: dict[str, str] = {}
         self._module_symbols[mod_name] = symbols
-        self.imports[mod_name] = {
-            target.split(".")[0] if "." in target else target
-            for target in module.aliases.values()
-        }
         for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{mod_name}.{node.name}"
@@ -206,7 +192,6 @@ class ProjectGraph:
                 external = dotted_name(call.func, module.aliases)
                 if external is not None:
                     func.external_calls.add(external)
-                    func.external_sites.append((external, call.lineno))
 
     def _resolve_call_target(
         self, call: ast.Call, func: FunctionInfo, module: "SourceModule"
@@ -247,49 +232,6 @@ class ProjectGraph:
                     reverse.setdefault(callee, set()).add(func.qualname)
             self._reverse = reverse
         return self._reverse.get(qualname, set())
-
-    def reaches_external(self, sinks: set[str]) -> dict[str, tuple[str, ...]]:
-        """Functions that (transitively) call one of ``sinks``.
-
-        Returns ``{qualname: chain}`` where ``chain`` is a shortest
-        call path ``(qualname, ..., sink_name)`` — the evidence the
-        rule puts in the finding message.  ``sinks`` are matched
-        against alias-expanded external call names.
-        """
-        out: dict[str, tuple[str, ...]] = {}
-        frontier: list[str] = []
-        for func in self.functions.values():
-            hit = next((s for s in sorted(func.external_calls) if s in sinks), None)
-            if hit is not None:
-                out[func.qualname] = (func.qualname, hit)
-                frontier.append(func.qualname)
-        # Reverse BFS: callers inherit reachability with one more hop.
-        while frontier:
-            next_frontier: list[str] = []
-            for reached in frontier:
-                for caller in sorted(self.callers_of(reached)):
-                    if caller in out:
-                        continue
-                    out[caller] = (caller, *out[reached])
-                    next_frontier.append(caller)
-            frontier = next_frontier
-        return out
-
-    def function_at(self, path: str, name: str) -> Iterator[FunctionInfo]:
-        """All functions named ``name`` defined in the file at ``path``."""
-        for func in self.functions.values():
-            if func.path == path and func.name == name:
-                yield func
-
-    def fingerprint(self) -> str:
-        """Content hash of the exact module set feeding this graph."""
-        digest = hashlib.sha256()
-        for name in sorted(self.modules):
-            module = self.modules[name]
-            digest.update(name.encode())
-            digest.update(b"\0")
-            digest.update(hashlib.sha256(module.source.encode("utf-8", "replace")).digest())
-        return digest.hexdigest()
 
 
 def _calls_in(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.Call]:

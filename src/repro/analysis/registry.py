@@ -53,10 +53,10 @@ class ProjectRule(Rule):
 class GraphRule(Rule):
     """A rule evaluated once over the whole-program :class:`ProjectGraph`.
 
-    Graph rules see the project's symbol/import/call graph (built once
+    Graph rules see the project's symbol/call graph (built once
     per run) in addition to every parsed module, which is what
-    cross-module invariants — epoch stamping, call-graph wall-clock
-    reachability, verify-before-buffer domination — need.
+    cross-module invariants — epoch stamping, verify-before-buffer
+    domination — need.
     """
 
     def check_graph(self, graph: "ProjectGraph") -> Iterator["Finding"]:
@@ -96,8 +96,3 @@ def get_rule(rule_id: str) -> Rule:
     """Instantiate one rule by id (raises ``KeyError`` if unknown)."""
     _ensure_builtin_rules_loaded()
     return _REGISTRY[rule_id]()
-
-
-def known_rule_ids() -> list[str]:
-    _ensure_builtin_rules_loaded()
-    return sorted(_REGISTRY)

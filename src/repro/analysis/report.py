@@ -34,9 +34,6 @@ def render_json(result: AnalysisResult) -> str:
     """Machine-oriented report (stable key order, newline-terminated)."""
     payload = {
         "files_scanned": result.files_scanned,
-        "files_parsed": result.files_parsed,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
         "rules_run": result.rules_run,
         "findings": [f.as_dict() for f in result.active],
         "suppressed": [f.as_dict() for f in result.suppressed],

@@ -9,7 +9,6 @@ from repro.analysis.rules.rl006_handler_purity import HandlerPurityRule
 from repro.analysis.rules.rl007_fwdtab_text_format import ForwardingTableFormatRule
 from repro.analysis.rules.rl008_measurement_windows import MeasurementWindowRule
 from repro.analysis.rules.rl009_epoch_monotonicity import EpochMonotonicityRule
-from repro.analysis.rules.rl010_wallclock_reachability import WallClockReachabilityRule
 from repro.analysis.rules.rl011_unverified_buffering import UnverifiedBufferingRule
 from repro.analysis.rules.rl012_port_over_bus import PortOverBusRule
 
@@ -23,7 +22,6 @@ __all__ = [
     "ForwardingTableFormatRule",
     "MeasurementWindowRule",
     "EpochMonotonicityRule",
-    "WallClockReachabilityRule",
     "UnverifiedBufferingRule",
     "PortOverBusRule",
 ]

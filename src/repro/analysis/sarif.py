@@ -76,11 +76,7 @@ def to_sarif(result: "AnalysisResult") -> dict[str, object]:
                     }
                 },
                 "results": [_result(f) for f in result.findings],
-                "properties": {
-                    "filesScanned": result.files_scanned,
-                    "cacheHits": result.cache_hits,
-                    "cacheMisses": result.cache_misses,
-                },
+                "properties": {"filesScanned": result.files_scanned},
             }
         ],
     }

@@ -159,10 +159,6 @@ class VirtualMachine:
         """True if a coding function can run (or resume) on this VM."""
         return self.state in (VmState.RUNNING, VmState.STOPPING)
 
-    @property
-    def has_failed(self) -> bool:
-        return self.state is VmState.FAILED
-
     def billed_seconds(self, now: float | None = None) -> float:
         """Wall-clock seconds the provider charges for.
 

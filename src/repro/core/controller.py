@@ -613,12 +613,6 @@ class Controller:
         self._watched_vnfs[name] = (datacenter, vm)
         self.monitor.watch(name)
 
-    def unwatch_vnf(self, name: str) -> None:
-        """Planned retirement: stop expecting heartbeats, no failure."""
-        self._watched_vnfs.pop(name, None)
-        if self.monitor is not None:
-            self.monitor.unwatch(name)
-
     def _handle_signal(self, signal: Signal) -> None:
         """Controller-addressed signals: heartbeats and its own VNF-start notes."""
         if isinstance(signal, NcHeartbeat):
@@ -668,7 +662,3 @@ class Controller:
             self._resolve_sessions(affected, reconcile=False)
         self.reconcile_fleet()
         self.push_forwarding_tables()
-
-    def restore_datacenter(self, name: str) -> None:
-        """Lift a failure quarantine (the DC is healthy again)."""
-        self.disabled_datacenters.discard(name)

@@ -72,17 +72,15 @@ class VnfDaemon:
         bus: SignalPort,
         session_configs: dict[int, CodingConfig] | None = None,
         on_shutdown: Callable[["VnfDaemon"], None] | None = None,
-        vnf_start_latency_s: float = VNF_START_LATENCY_S,
         heartbeat_interval_s: float | None = None,
-        controller_name: str = CONTROLLER_NAME,
     ) -> None:
         self.vnf = vnf
         self.bus = bus
         self.session_configs = dict(session_configs or {})
         self.on_shutdown = on_shutdown
-        self.vnf_start_latency_s = vnf_start_latency_s
+        self.vnf_start_latency_s = VNF_START_LATENCY_S
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.controller_name = controller_name
+        self.controller_name = CONTROLLER_NAME
         self.alive = True
         self.function_running = False
         self.started_at: float | None = None

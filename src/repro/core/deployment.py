@@ -56,12 +56,16 @@ class SessionDemand:
     def session_id(self) -> int:
         return self.session.session_id
 
-    def all_edges(self) -> set[Edge]:
+    def all_edges(self) -> list[Edge]:
+        """Every link a candidate path uses, sorted: this is the order the
+        LP's ``fm`` columns are laid out in, and among alternative optima
+        the solver's vertex follows column order — iterating the bare set
+        made Fig. 12/13's VNF counts depend on ``PYTHONHASHSEED``."""
         edges: set[Edge] = set()
         for paths in self.path_sets.values():
             for path in paths:
                 edges.update(path.edges)
-        return edges
+        return sorted(edges)
 
     def has_feasible_paths(self) -> bool:
         return all(self.path_sets.get(r) for r in self.session.receivers)
@@ -102,9 +106,6 @@ class DeploymentPlan:
 
     def vnfs_at(self, datacenter: str) -> int:
         return self.vnf_counts.get(datacenter, 0)
-
-    def used_datacenters(self) -> list[str]:
-        return sorted(dc for dc, count in self.vnf_counts.items() if count > 0)
 
     def merged_with(self, other: "DeploymentPlan") -> "DeploymentPlan":
         """Union of two plans (e.g., frozen sessions + newly routed ones)."""

@@ -81,14 +81,13 @@ class Orchestrator:
         datacenters: list[DataCenterSpec],
         alpha: float = 1.0,
         payload_mode: str = "coefficients-only",
-        control_latency_s: float = 0.02,
         seed: int = 1,
     ) -> None:
         self.graph = graph
         self.datacenters = list(datacenters)
         self.alpha = alpha
         self.payload_mode = payload_mode
-        self.control_latency_s = control_latency_s
+        self.control_latency_s = 0.02
         self.seed = seed
 
     def deploy(self, sessions: list[MulticastSession], rate_fraction: float = 0.95) -> Orchestration:

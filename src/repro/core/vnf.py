@@ -35,7 +35,7 @@ from repro.core.forwarding import ForwardingTable, ForwardingUpdateModel
 from repro.core.session import CodingConfig
 from repro.net.buffer import GenerationBuffer
 from repro.net.events import EventScheduler
-from repro.net.nic import NicModel, PollModeNic
+from repro.net.nic import PollModeNic
 from repro.net.node import Node
 from repro.net.packet import Datagram
 from repro.rlnc.decoder import Decoder
@@ -73,8 +73,6 @@ class CodingVnf(Node):
         name: str,
         scheduler: EventScheduler,
         coding_capacity_mbps: float = 900.0,
-        nic: NicModel | None = None,
-        update_model: ForwardingUpdateModel | None = None,
         rng: np.random.Generator | None = None,
         payload_mode: str = "full",
         coding_overhead_s: float = 90e-6,
@@ -88,8 +86,8 @@ class CodingVnf(Node):
             raise ValueError("coding overhead cannot be negative")
         self.coding_capacity_mbps = coding_capacity_mbps
         self.coding_overhead_s = coding_overhead_s
-        self.nic = nic if nic is not None else PollModeNic()
-        self.update_model = update_model if update_model is not None else ForwardingUpdateModel()
+        self.nic = PollModeNic()
+        self.update_model = ForwardingUpdateModel()
         self.payload_mode = payload_mode
         self._rng = rng if rng is not None else derive_rng("core.vnf", name)
 
@@ -490,9 +488,6 @@ class VnfDispatcher(Node):
 
     def add_instance(self, vnf: CodingVnf) -> None:
         self.instances.append(vnf)
-
-    def remove_instance(self, vnf: CodingVnf) -> None:
-        self.instances.remove(vnf)
 
     def _dispatch(self, dgram: Datagram) -> None:
         if not self.instances:

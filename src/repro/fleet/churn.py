@@ -69,15 +69,6 @@ class SessionSpec:
         """Unique overlay node names, parallel to ``receiver_cities``."""
         return tuple(f"rcv{self.session_id}.{i}" for i in range(len(self.receiver_cities)))
 
-    def host_city(self, host: str) -> str:
-        """The PoP city a generated host name lives in."""
-        if host == self.source_host():
-            return self.source_city
-        prefix = f"rcv{self.session_id}."
-        if host.startswith(prefix):
-            return self.receiver_cities[int(host[len(prefix):])]
-        raise KeyError(f"{host} is not a host of session {self.session_id}")
-
 
 @dataclass(frozen=True)
 class ChurnEvent:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -219,15 +219,6 @@ class LinearProgram:
         var.index = len(self.variables)
         self.variables.append(var)
         return var
-
-    def add_variables(
-        self,
-        names: Iterable[str],
-        lower: float = 0.0,
-        upper: float | None = None,
-        integer: bool = False,
-    ) -> list[Variable]:
-        return [self.add_variable(n, lower=lower, upper=upper, integer=integer) for n in names]
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
         if name:

@@ -247,11 +247,6 @@ class Link:
 
     # -- introspection ---------------------------------------------------
 
-    @property
-    def utilization_window(self) -> float:
-        """Current queueing delay (seconds of backlog at link rate)."""
-        return 8 * self._backlog_bytes / self.capacity_bps
-
     def __repr__(self) -> str:
         return (
             f"Link({self.src}->{self.dst}, {self.capacity_bps / 1e6:.1f} Mbps, "

@@ -20,10 +20,10 @@ from typing import Iterable
 import networkx as nx
 
 
-def max_flow(graph: nx.DiGraph, source: str, sink: str, capacity_attr: str = "capacity_mbps") -> float:
+def max_flow(graph: nx.DiGraph, source: str, sink: str) -> float:
     """Edmonds–Karp max flow from ``source`` to ``sink``.
 
-    Edge capacities are read from ``capacity_attr``; antiparallel edges
+    Edge capacities are read from ``capacity_mbps``; antiparallel edges
     are supported (residuals are tracked per directed pair).
     """
     if source == sink:
@@ -31,15 +31,19 @@ def max_flow(graph: nx.DiGraph, source: str, sink: str, capacity_attr: str = "ca
     if source not in graph or sink not in graph:
         return 0.0
     residual: dict[tuple[str, str], float] = {}
-    adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    # Neighbours as insertion-ordered dict keys, not a set: which shortest
+    # augmenting path BFS finds follows neighbour order and the bottlenecks
+    # are summed in that order, so set iteration moved the result's last
+    # ulp with PYTHONHASHSEED.
+    adj: dict[str, dict[str, None]] = {n: {} for n in graph.nodes}
     for u, v, data in graph.edges(data=True):
-        cap = float(data.get(capacity_attr, 0.0))
+        cap = float(data.get("capacity_mbps", 0.0))
         if cap < 0:
             raise ValueError(f"negative capacity on {u}->{v}")
         residual[(u, v)] = residual.get((u, v), 0.0) + cap
         residual.setdefault((v, u), 0.0)
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u][v] = None
+        adj[v][u] = None
 
     flow = 0.0
     while True:
@@ -78,10 +82,9 @@ def multicast_capacity(
     graph: nx.DiGraph,
     source: str,
     destinations: Iterable[str],
-    capacity_attr: str = "capacity_mbps",
 ) -> float:
     """Network-coding multicast capacity: min over receivers of max-flow."""
     destinations = list(destinations)
     if not destinations:
         raise ValueError("a multicast session needs at least one destination")
-    return min(max_flow(graph, source, d, capacity_attr) for d in destinations)
+    return min(max_flow(graph, source, d) for d in destinations)

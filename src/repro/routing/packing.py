@@ -58,7 +58,6 @@ def tree_packing_solution(
     destinations: list[str],
     relay_nodes: set[str] | None = None,
     max_delay_ms: float = float("inf"),
-    capacity_attr: str = "capacity_mbps",
     epsilon: float = 1e-6,
 ) -> list[tuple[frozenset[tuple[str, str]], float]]:
     """The packing optimum as explicit trees: [(edge frozenset, rate), ...].
@@ -77,13 +76,13 @@ def tree_packing_solution(
     tree_vars = [lp.add_variable(f"t[{i}]") for i in range(len(trees))]
     by_edge: dict[tuple[str, str], list[Variable]] = {}
     for var, tree in zip(tree_vars, trees):
-        for edge in tree:
+        for edge in sorted(tree):  # row order reaches the LP: not hash order
             by_edge.setdefault(edge, []).append(var)
     for edge, vars_on_edge in by_edge.items():
         expr: Variable | LinExpr = vars_on_edge[0]
         for var in vars_on_edge[1:]:
             expr = expr + var
-        lp.add_constraint(expr <= float(graph.edges[edge][capacity_attr]), name=f"cap[{edge}]")
+        lp.add_constraint(expr <= float(graph.edges[edge]["capacity_mbps"]), name=f"cap[{edge}]")
     total: Variable | LinExpr = tree_vars[0]
     for var in tree_vars[1:]:
         total = total + var
@@ -104,7 +103,6 @@ def tree_packing_rate(
     destinations: list[str],
     relay_nodes: set[str] | None = None,
     max_delay_ms: float = float("inf"),
-    capacity_attr: str = "capacity_mbps",
 ) -> float:
     """Optimal fractional tree-packing rate (Mbps).
 
@@ -120,13 +118,13 @@ def tree_packing_rate(
     tree_vars = [lp.add_variable(f"t[{i}]") for i in range(len(trees))]
     by_edge: dict[tuple[str, str], list[Variable]] = {}
     for var, tree in zip(tree_vars, trees):
-        for edge in tree:
+        for edge in sorted(tree):  # row order reaches the LP: not hash order
             by_edge.setdefault(edge, []).append(var)
     for edge, vars_on_edge in by_edge.items():
         expr: Variable | LinExpr = vars_on_edge[0]
         for var in vars_on_edge[1:]:
             expr = expr + var
-        lp.add_constraint(expr <= float(graph.edges[edge][capacity_attr]), name=f"cap[{edge}]")
+        lp.add_constraint(expr <= float(graph.edges[edge]["capacity_mbps"]), name=f"cap[{edge}]")
     total: Variable | LinExpr = tree_vars[0]
     for var in tree_vars[1:]:
         total = total + var

@@ -21,9 +21,7 @@ from typing import Iterable
 import networkx as nx
 
 
-def _widest_paths(
-    graph: nx.DiGraph, source: str, capacity_attr: str
-) -> tuple[dict[str, float], dict[str, str | None]]:
+def _widest_paths(graph: nx.DiGraph, source: str) -> tuple[dict[str, float], dict[str, str | None]]:
     """Maximum-bottleneck (widest) paths from source to every node.
 
     Dijkstra variant maximizing the minimum edge capacity along the path.
@@ -40,7 +38,7 @@ def _widest_paths(
             continue
         visited.add(u)
         for _, v, data in graph.out_edges(u, data=True):
-            cap = float(data.get(capacity_attr, 0.0))
+            cap = float(data.get("capacity_mbps", 0.0))
             width = min(bottleneck[u], cap)
             if width > bottleneck.get(v, 0.0):
                 bottleneck[v] = width
@@ -65,9 +63,7 @@ def _tree_from_parents(
     return edges
 
 
-def tree_throughput(
-    graph: nx.DiGraph, edges: set[tuple[str, str]], capacity_attr: str = "capacity_mbps"
-) -> float:
+def tree_throughput(graph: nx.DiGraph, edges: set[tuple[str, str]]) -> float:
     """Rate a single store-and-forward tree sustains: its bottleneck edge.
 
     In store-and-forward multicast the same stream crosses every tree
@@ -76,7 +72,7 @@ def tree_throughput(
     """
     if not edges:
         return 0.0
-    return min(float(graph.edges[e][capacity_attr]) for e in edges)
+    return min(float(graph.edges[e]["capacity_mbps"]) for e in edges)
 
 
 def best_multicast_tree(
@@ -84,7 +80,6 @@ def best_multicast_tree(
     source: str,
     destinations: Iterable[str],
     relay_nodes: set[str] | None = None,
-    capacity_attr: str = "capacity_mbps",
 ) -> tuple[set[tuple[str, str]], float]:
     """Best single distribution tree by exhaustive relay-subset search.
 
@@ -110,11 +105,11 @@ def best_multicast_tree(
         for subset in itertools.combinations(relay_list, r):
             allowed = {source, *subset, *destinations}
             sub = graph.subgraph(allowed)
-            bottleneck, parent = _widest_paths(sub, source, capacity_attr)
+            bottleneck, parent = _widest_paths(sub, source)
             if any(dst not in bottleneck for dst in destinations):
                 continue
             edges = _tree_from_parents(parent, destinations)
-            rate = tree_throughput(graph, edges, capacity_attr)
+            rate = tree_throughput(graph, edges)
             if rate > best_rate:
                 best_rate = rate
                 best_edges = edges

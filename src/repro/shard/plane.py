@@ -102,10 +102,6 @@ class CrossShardChannel:
         self._endpoints[name] = handler
         self._ready[name] = ready if ready is not None else (lambda: True)
 
-    def disconnect(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-        self._ready.pop(name, None)
-
     def send(self, src: str, dst: str, signal: Signal) -> CrossShardDelivery:
         """Dispatch a signal; first attempt after the WAN latency."""
         delivery = CrossShardDelivery(src=src, dst=dst, signal=signal, sent_at=self.scheduler.now)

@@ -42,7 +42,7 @@ class TestCleanTree:
         assert payload["files_scanned"] > 50
         assert payload["rules_run"] == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL007", "RL008", "RL009", "RL011", "RL012",
         ]
 
     def test_full_tree_text_clean(self):

@@ -1,4 +1,4 @@
-"""ProjectGraph: symbol resolution, call graph, reachability."""
+"""ProjectGraph: symbol resolution and call graph."""
 
 from repro.analysis.graph import build_graph, module_name_for
 
@@ -125,36 +125,6 @@ def test_callers_of_reverse_index():
     assert graph.callers_of("repro.a.mid") == {"repro.a.top"}
 
 
-def test_reaches_external_returns_shortest_chain():
-    graph = _graph(
-        {
-            "src/repro/a.py": """\
-                import time
-
-
-                def sink():
-                    return time.time()
-
-
-                def mid():
-                    sink()
-
-
-                def top():
-                    mid()
-
-
-                def clean():
-                    pass
-            """
-        }
-    )
-    reached = graph.reaches_external({"time.time"})
-    assert reached["repro.a.sink"] == ("repro.a.sink", "time.time")
-    assert reached["repro.a.top"] == ("repro.a.top", "repro.a.mid", "repro.a.sink", "time.time")
-    assert "repro.a.clean" not in reached
-
-
 def test_nested_defs_own_their_calls():
     graph = _graph(
         {
@@ -171,15 +141,3 @@ def test_nested_defs_own_their_calls():
     )
     # The wall-clock call belongs to inner's (unindexed) scope, not outer.
     assert "time.time" not in graph.functions["repro.a.outer"].external_calls
-
-
-def test_fingerprint_changes_with_content():
-    base = {
-        "src/repro/a.py": "def f():\n    pass\n",
-        "src/repro/b.py": "def g():\n    pass\n",
-    }
-    fp1 = _graph(base).fingerprint()
-    fp2 = _graph(base).fingerprint()
-    assert fp1 == fp2
-    changed = dict(base, **{"src/repro/b.py": "def g():\n    return 1\n"})
-    assert _graph(changed).fingerprint() != fp1

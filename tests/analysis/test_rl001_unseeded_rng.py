@@ -1,7 +1,7 @@
 """RL001 fixtures: unseeded randomness and wall-clock reads."""
 
 from repro.analysis import analyze_paths
-from tests.analysis.helpers import active_ids, lint
+from tests.analysis.helpers import active_ids, lint, lint_modules
 
 SELECT = ["RL001"]
 
@@ -119,6 +119,82 @@ class TestFires:
             @dataclass
             class C:
                 rng: np.random.Generator = field(default_factory=np.random.default_rng)
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001"]
+
+
+class TestHandlerChains:
+    """The retired RL010's positive fixtures: the *sink* is what is flagged."""
+
+    def test_direct_wallclock_in_handler(self):
+        findings = lint(
+            """
+            import time
+
+
+            class Daemon:
+                def on_packet(self, pkt):
+                    return time.time()
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001"]
+        assert findings[0].line == 7 and "time.time" in findings[0].message
+
+    def test_one_hop_helper_chain(self):
+        findings = lint(
+            """
+            import time
+
+
+            def _stamp():
+                return time.time()
+
+
+            class Daemon:
+                def on_packet(self, pkt):
+                    return _stamp()
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001"]
+        assert findings[0].line == 6  # inside _stamp, not at the handler
+
+    def test_cross_module_chain(self):
+        findings = lint_modules(
+            {
+                "src/repro/util/clock.py": """\
+                    import time
+
+
+                    def stamp():
+                        return time.time()
+                """,
+                "src/repro/core/daemon.py": """\
+                    from repro.util.clock import stamp
+
+
+                    class Daemon:
+                        def handle_signal(self, sig):
+                            return stamp()
+                """,
+            },
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL001"]
+        assert findings[0].path == "src/repro/util/clock.py"
+
+    def test_non_handler_reaching_clock_flagged_too(self):
+        # RL010 let host-side helpers through; RL001 does not.
+        findings = lint(
+            """
+            import time
+
+
+            def measure_wall_runtime():
+                return time.time()
             """,
             select=SELECT,
         )

@@ -19,6 +19,25 @@ class TestFires:
         assert active_ids(findings) == ["RL003"]
         assert "schedule" in findings[0].message
 
+    def test_sleep_in_scheduled_callback(self):
+        # The retired RL010's fourth positive fixture, flagged at the sink.
+        findings = lint(
+            """
+            import time
+
+
+            class Source:
+                def __init__(self, scheduler):
+                    scheduler.schedule(0.1, self._tick)
+
+                def _tick(self):
+                    time.sleep(0.01)
+            """,
+            select=SELECT,
+        )
+        assert active_ids(findings) == ["RL003"]
+        assert findings[0].line == 10 and "time.sleep" in findings[0].message
+
     def test_negative_delay_schedule(self):
         findings = lint(
             """

@@ -1,5 +1,10 @@
 """Integration tests for the six-DC dynamic scenarios (Fig. 10-13)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.scaling import ScalingConfig
@@ -130,6 +135,35 @@ class TestFig13Alpha:
         # Paper: "the system refuses to launch any new VNF when α = 200".
         assert sweep["vnfs"][-1] == 0
         assert sweep["throughput_mbps"][-1] > 0  # direct paths still carry data
+
+
+_SWEEPS = """\
+from repro.experiments.dynamic import alpha_sweep, lmax_sweep
+for sweep in (alpha_sweep([0, 20, 100]), lmax_sweep([75, 150])):
+    print(repr(sweep["throughput_mbps"]), repr(sweep["vnfs"]))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_fig12_fig13_sweeps_identical_under_three_hash_seeds(self):
+        # The LP's link columns were once laid out in set-iteration
+        # order, so the VNF counts read 22/22/4, 22/22/3, 22/20/3 under
+        # PYTHONHASHSEED 1, 2, 3.  One interpreter per seed, side by side.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SWEEPS],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in ("1", "2", "3")
+        ]
+        results = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0, 0], results
+        outputs = [out for out, _ in results]
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
 class TestControllerFactory:
