@@ -30,6 +30,19 @@ _CEIL_EPS = 1e-9
 RATE_EPS = 1e-6
 
 
+def canonical_rate(mbps: float) -> float:
+    """An LP-derived rate as fingerprints see it: on the ``RATE_EPS`` grid.
+
+    The one way such a float enters a ``canonical()``.  Pivot sequences,
+    ``B⁻¹ b`` answers and apply/release bookkeeping agree on a rate only to
+    the last few ulps ((a + x) − x can differ from a; a remembered basis
+    gives 9.999999999999998 where cold pivots give 10.0), so hashing the
+    raw value would flag rounding noise as a different decision.  Only the
+    hashed copy is rounded — plans, verdicts and the index keep raw floats.
+    """
+    return round(mbps, 6) + 0.0  # +0.0 folds -0.0 into 0.0
+
+
 @dataclass(frozen=True)
 class FleetDataCenter:
     """Per-VNF capacity profile of one candidate PoP data center."""
@@ -176,17 +189,8 @@ class SurplusIndex:
     # -- state export -----------------------------------------------------
 
     def canonical(self) -> tuple[tuple[str, ...], ...]:
-        """Deterministic state tuple for fingerprints and equivalence.
-
-        Loads are quantized to 1e-6 Mbps: incremental apply/release is
-        not bitwise reversible ((a + x) - x can differ from a in the
-        last ulp), so comparing raw floats against a from-scratch
-        rebuild would flag pure rounding noise as state drift.
-        """
-
-        def q(value: float) -> float:
-            return round(value, 6) + 0.0  # +0.0 folds -0.0 into 0.0
-
+        """Deterministic state tuple for fingerprints and equivalence."""
+        q = canonical_rate
         edges = tuple(
             f"{a}->{b}={q(self.edge_load[(a, b)])!r}"
             for a, b in sorted(self.edge_load)

@@ -6,9 +6,10 @@ overlay whose edge latencies are shortest-path WAN propagation delays
 (:func:`repro.net.topology.os3e_latency_ms`); each session's hosts
 attach to their nearest PoPs over access links.  Admission solves a
 *per-session delta LP* (:class:`repro.fleet.planner.SessionLP`)
-against the surplus index — warm-started from the cached basis — so
-the cost of a join is independent of fleet size.  Departures release
-capacity and retire surplus VNFs with **zero** LP solves.
+against the surplus index — answered from a remembered basis when one
+still fits — so the cost of a join is independent of fleet size.
+Departures release capacity and retire surplus VNFs with **zero** LP
+solves.
 
 ``mode="cold"`` is the equivalence oracle: it rebuilds the index from
 scratch before every event and solves without a basis.  The property
@@ -34,8 +35,8 @@ from repro.core.session import MulticastSession
 from repro.core.signals import NcForwardTab, NcSettings, NcStart, NcVnfEnd, NcVnfStart, SignalPort
 from repro.fleet.capacity import Edge, FleetDataCenter, FleetPlan, SurplusIndex
 from repro.fleet.churn import SessionSpec
-from repro.fleet.planner import ColdSessionLP, SessionLP
-from repro.lp.simplex import SimplexResult
+from repro.fleet.planner import BasisMemory, ColdSessionLP, SessionLP
+from repro.lp.simplex import KEPT_BASES, SimplexResult
 from repro.fleet.verdict import AdmissionStatus, AdmissionVerdict
 from repro.net.topology import os3e_latency_ms
 from repro.routing.paths import Path
@@ -125,6 +126,7 @@ class FleetManager:
         mode: str = INCREMENTAL,
         bus: SignalPort | None = None,
         latency_ms: Mapping[str, Mapping[str, float]] | None = None,
+        basis_memory: BasisMemory | None = None,
     ) -> None:
         if mode not in (INCREMENTAL, COLD):
             raise ValueError(f"unknown mode {mode!r}")
@@ -172,7 +174,8 @@ class FleetManager:
         # PoP's lines instead of rescanning every live plan.
         self._routes: dict[str, list[str]] = {}
         self._lps: dict[int, SessionLP] = {}
-        self._basis_cache: dict[str, tuple[int, ...]] = {}
+        #: Shared with whoever passed it in; the cold oracle never touches it.
+        self.basis_memory: BasisMemory = {} if basis_memory is None else basis_memory
         self.config_epoch = 0
         # Shard-lease fence stamped onto config pushes (DESIGN.md §14).
         # 0 for an unsharded fleet; a shard takeover installs the new
@@ -408,13 +411,17 @@ class FleetManager:
         return plan
 
     def _solve(self, lp: SessionLP) -> tuple[SimplexResult, FleetPlan | None]:
-        basis = self._basis_cache.get(lp.signature) if self.mode == INCREMENTAL else None
-        result, plan = lp.solve(self.index, initial_basis=basis)
+        remember = self.mode == INCREMENTAL
+        bases = self.basis_memory.setdefault(lp.signature, []) if remember else []
+        result, plan = lp.solve(self.index, bases)
         self.lp_solves += 1
         if result.warm_started:
             self.warm_hits += 1
-        if self.mode == INCREMENTAL and result.success and result.basis is not None:
-            self._basis_cache[lp.signature] = result.basis
+        if remember and result.basis is not None:  # most recent first, KEPT_BASES of them
+            if result.basis in bases:
+                bases.remove(result.basis)
+            bases.insert(0, result.basis)
+            del bases[KEPT_BASES:]
         return result, plan
 
     def _grow_vnfs(self, datacenters: tuple[str, ...]) -> int:

@@ -14,8 +14,8 @@ is compiled once (:func:`compile_shape`), kept in a bounded memo
 that meets the same shape, together with its prepared simplex program
 (:class:`repro.lp.simplex.PreparedProgram`).  A :class:`SessionLP` keeps
 only the names; every solve patches the rhs and bounds from the index,
-and the basis of the previous solve of an equal ``signature`` warm-starts
-it.
+and the bases remembered for its ``signature`` (:data:`BasisMemory`) are
+offered to it first.
 
 Variable order (fixed, so bases transfer between same-shape solves):
 ``[λ, f(receiver,path)…, g(edge)…, y(dc)…]`` with receivers, paths,
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.fleet.capacity import RATE_EPS, Edge, FleetDataCenter, FleetPlan, SurplusIndex
-from repro.lp.simplex import FloatArray, PreparedProgram, SimplexResult
+from repro.lp.simplex import Basis, FloatArray, PreparedProgram, SimplexResult
 
 # Re-exported: admissions used to call the one-shot solver under this
 # module's name, and instrumentation that wraps it there still finds it.
@@ -59,6 +59,17 @@ if TYPE_CHECKING:
 #: Shapes :func:`known_shape` keeps; the least recently used one goes first.
 #: An evicted shape only costs its next session a rebuild.
 SHAPE_MEMO_SIZE = 1024
+
+#: ``signature`` → the bases last found optimal for it, most recent first, at
+#: most :data:`~repro.lp.simplex.KEPT_BASES` (what a prepared program keeps
+#: inverses for; over 150 chunks of ``plane-churn-failover`` one reads 0.83
+#: warm, two or more saturate at 0.87).  Reduced costs do not depend on the
+#: rhs, so each stays dual-feasible and answers any rhs it is primal-feasible
+#: for with one ``B⁻¹ b``.  Advisory — a wrong entry costs the solver a
+#: fallback, never an answer — and owned by whoever owns the managers (a
+#: plane shares one across shards and takeovers), never by the process: a
+#: run must not see another run's bases.
+BasisMemory = dict[str, list[Basis]]
 
 RankPath = tuple[int, ...]
 #: Everything the matrix, the objective and the rhs layout depend on, with
@@ -279,9 +290,9 @@ class SessionLP:
     def solve(
         self,
         index: SurplusIndex,
-        initial_basis: tuple[int, ...] | None = None,
+        bases: Sequence[Basis] = (),
     ) -> tuple[SimplexResult, FleetPlan | None]:
-        """Patch rhs/bounds from the index and solve; extract the plan."""
+        """Patch rhs/bounds from the index and solve, ``bases`` first; extract the plan."""
         shape = self.shape
         rhs = shape.static_rhs.copy()
         for row, i in shape.shared_rows:
@@ -291,7 +302,7 @@ class SessionLP:
         for row, i in shape.dc_out_rows:
             rhs[row] = index.slack_out(self.touched_dcs[i])
         upper = [self.spec.rate_mbps, *(float(index.vnf_headroom(dc)) for dc in self.touched_dcs)]
-        result = shape.program.solve(rhs, upper=upper, initial_basis=initial_basis)
+        result = shape.program.solve(rhs, upper=upper, initial_bases=bases)
         if not result.success:
             return result, None
         return result, self._extract(result.x)

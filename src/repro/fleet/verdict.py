@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.fleet.capacity import canonical_rate
+
 
 class AdmissionStatus(Enum):
     """Outcome of one admission attempt."""
@@ -46,11 +48,15 @@ class AdmissionVerdict:
         return self.status is AdmissionStatus.ADMITTED
 
     def canonical(self) -> tuple[int, str, str, int, int]:
-        """Stable tuple for soak fingerprints (floats repr'd exactly)."""
+        """Stable tuple for soak fingerprints: the decision, λ on the rate grid.
+
+        What the solve cost (``warm_started``) is left out, so incremental
+        and cold runs fingerprint identically.
+        """
         return (
             self.session_id,
             self.status.value,
-            repr(self.lambda_mbps),
+            repr(canonical_rate(self.lambda_mbps)),
             self.lp_solves,
             self.epoch,
         )

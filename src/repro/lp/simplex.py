@@ -26,7 +26,7 @@ matrix; :func:`solve_simplex` is the same code with a throw-away one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -35,6 +35,10 @@ FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.intp]
 
 _EPS = 1e-9
+
+#: Bases a :class:`PreparedProgram` keeps an inverse for — and so how many a
+#: caller gains by offering; the least recently tried one goes first.
+KEPT_BASES = 4
 
 
 @dataclass
@@ -55,11 +59,12 @@ class PreparedProgram:
     """Everything about a program that does not depend on its right-hand side.
 
     Built once per matrix: the standard form (``<=`` rows, one bound row
-    per variable in ``bounded``, equality rows, slack columns) and, per
-    basis it has been warm-started from, that basis' inverse and whether
-    its reduced costs were already optimal.  Reduced costs do not depend
-    on the rhs, so a warm start from such a basis is ``x_B = B⁻¹ b``, the
-    staleness test and the read-out — no tableau, no pivot loop.
+    per variable in ``bounded``, equality rows, slack columns) and, for the
+    :data:`KEPT_BASES` bases it was last warm-started from, each basis'
+    inverse and whether its reduced costs were already optimal.  Reduced
+    costs do not depend on the rhs, so a warm start from such a basis is
+    ``x_B = B⁻¹ b``, the staleness test and the read-out — no tableau, no
+    pivot loop.
 
     ``lower`` shifts every variable to ``x' >= 0``; each variable listed
     in ``bounded`` gets an ``x_j <= upper`` row whose value arrives with
@@ -90,8 +95,8 @@ class PreparedProgram:
         self._bound_at = (np.arange(ub_a.shape[0], m_ub), columns)
         self._slack_at = (np.arange(m_ub), n + np.arange(m_ub))
         self._rhs_shift = np.concatenate([ub_a @ shift, shift[columns], eq_a @ shift])
-        self._inverse: dict[Basis, FloatArray | None] = {}
-        self._settled: dict[Basis, bool] = {}
+        #: basis -> (B⁻¹ or None if unusable, reduced costs optimal); dict order is recency.
+        self._known: dict[Basis, tuple[FloatArray | None, bool]] = {}
 
     def _standard_form(self, neg: npt.NDArray[np.bool_]) -> FloatArray:
         """Dense ``[A | I]`` with the ``neg`` rows negated (their rhs was negative).
@@ -114,9 +119,15 @@ class PreparedProgram:
         b_eq: npt.ArrayLike | None = None,
         upper: npt.ArrayLike = (),
         max_iter: int = 20000,
-        initial_basis: Sequence[int] | None = None,
+        initial_bases: Iterable[Basis] = (),
     ) -> SimplexResult:
-        """Solve for one right-hand side; see :func:`solve_simplex`."""
+        """Solve for one right-hand side; see :func:`solve_simplex`.
+
+        ``initial_bases`` are tried in order and the first that is still
+        primal-feasible for this rhs answers; a basis that was optimal for
+        *some* rhs of this program is dual-feasible for every rhs, so that
+        answer takes no pivot.
+        """
         n = self._cost.shape[0]
         m, total = self._dims
         parts = [np.asarray(b, dtype=np.float64).ravel() for b in (b_ub, upper, b_eq) if b is not None]
@@ -128,8 +139,8 @@ class PreparedProgram:
 
         # --- warm start: reuse a prior basis, skipping phase 1 when it is
         # still primal-feasible for the new rhs.
-        if initial_basis is not None:
-            warm = self._warm_start(big_b, neg, flipped, tuple(int(b) for b in initial_basis), max_iter)
+        for basis in initial_bases:
+            warm = self._warm_start(big_b, neg, flipped, basis, max_iter)
             if warm is not None:
                 return warm
         big_a = self._standard_form(neg)
@@ -189,13 +200,15 @@ class PreparedProgram:
         form only; a program with a negative rhs pays for its own inverse.
         """
         big_a: FloatArray | None = None
-        if not flipped and basis in self._inverse:
-            binv = self._inverse[basis]
-        else:
+        known = None if flipped else self._known.pop(basis, None)
+        if known is None:
             big_a = self._standard_form(neg)
-            binv = _basis_inverse(big_a, basis)
-            if not flipped:
-                self._inverse[basis] = binv
+            known = (_basis_inverse(big_a, basis), False)
+        binv, settled = known
+        if not flipped:
+            self._known[basis] = known
+            if len(self._known) > KEPT_BASES:
+                del self._known[next(iter(self._known))]
         if binv is None:
             return None
         x_basic = binv @ big_b
@@ -203,14 +216,14 @@ class PreparedProgram:
             return None
         vertex = np.maximum(x_basic, 0.0)
         warm_basis = np.array(basis, dtype=np.intp)
-        if not flipped and self._settled.get(basis):
+        if settled:
             return self._optimal(vertex, warm_basis, 0, warm_started=True)
         if big_a is None:
             big_a = self._standard_form(neg)
         tableau = _phase2_tableau(binv @ big_a, vertex, self._cost)
         _price_out(tableau, warm_basis)
         if not flipped:
-            self._settled[basis] = not (tableau[-1, :-1] < -_EPS).any()
+            self._known[basis] = (binv, not (tableau[-1, :-1] < -_EPS).any())
         iters, status = _pivot_loop(tableau, warm_basis, max_iter)
         if status == "optimal":
             return self._optimal(tableau[:-1, -1], warm_basis, iters, warm_started=True)
@@ -289,7 +302,7 @@ def solve_simplex(
         b_eq if a_eq is not None else None,
         upper,
         max_iter,
-        initial_basis,
+        () if initial_basis is None else (tuple(int(b) for b in initial_basis),),
     )
 
 

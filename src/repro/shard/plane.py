@@ -199,6 +199,9 @@ class ShardedControlPlane:
         if miss_threshold is not None:
             shard_kwargs["miss_threshold"] = miss_threshold
         by_city = {dc.name: dc for dc in datacenters}
+        # One basis memory for the plane: every manager of every shard,
+        # takeover successors included, remembers into the same object.
+        manager_kwargs = {"basis_memory": {}, **(manager_kwargs or {})}
         self.shards: dict[str, ShardController] = {}
         for controller in self.shard_map.controllers:
             owned = [

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.fleet.churn import JOIN, ChurnTrace
+from repro.fleet.manager import INCREMENTAL
 from repro.fleet.soak import admission_outcome, admission_tally, soak_datacenters
 from repro.fleet.verdict import AdmissionStatus
 from repro.net.events import EventScheduler
@@ -74,6 +75,7 @@ def run_shard_soak(
     mean_holding_s: float = 12.0,
     max_faults: int = 3,
     controller_faults: bool = True,
+    mode: str = INCREMENTAL,
 ) -> ShardSoakRecord:
     """Drive one seeded churn trace through a crashing sharded plane.
 
@@ -84,7 +86,9 @@ def run_shard_soak(
     converges, not that outages never happen.
     """
     scheduler = EventScheduler()
-    plane = ShardedControlPlane(k, soak_datacenters(max(k, n_datacenters)), scheduler)
+    plane = ShardedControlPlane(
+        k, soak_datacenters(max(k, n_datacenters)), scheduler, manager_kwargs={"mode": mode}
+    )
     trace = ChurnTrace.generate(
         seed,
         duration_s=duration_s,
@@ -155,9 +159,10 @@ def run_shard_soak(
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=("incremental", "cold"), default="incremental")
     parser.add_argument("--shards", type=int, default=3)
     parser.add_argument("--datacenters", type=int, default=8)
 
 
 def run_seed(seed: int, args: argparse.Namespace) -> ShardSoakRecord:
-    return run_shard_soak(seed, k=args.shards, n_datacenters=args.datacenters)
+    return run_shard_soak(seed, k=args.shards, n_datacenters=args.datacenters, mode=args.mode)

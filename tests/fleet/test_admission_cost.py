@@ -45,10 +45,9 @@ def _admit_200(monkeypatch) -> tuple[ShardedControlPlane, Ledger]:
     real_solve, real_known, real_compile = PreparedProgram.solve, planner.known_shape, planner.compile_shape
     real_inv, real_dijkstra = np.linalg.inv, topology.nx.all_pairs_dijkstra_path_length
 
-    def counting_solve(program, b_ub=None, b_eq=None, upper=(), max_iter=20000, initial_basis=None):
-        if initial_basis is not None:
-            ledger.warm_attempts.append((id(program), tuple(initial_basis)))
-        ledger.results.append(real_solve(program, b_ub, b_eq, upper, max_iter, initial_basis))
+    def counting_solve(program, b_ub=None, b_eq=None, upper=(), max_iter=20000, initial_bases=()):
+        ledger.warm_attempts += [(id(program), basis) for basis in initial_bases]
+        ledger.results.append(real_solve(program, b_ub, b_eq, upper, max_iter, initial_bases))
         return ledger.results[-1]
 
     def counting_known(key):

@@ -20,16 +20,11 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.fleet import planner
-from repro.fleet.churn import JOIN, ChurnTrace
-from repro.fleet.manager import fleet_of
-from repro.fleet.soak import SOAK_DC_CITIES
 from repro.lp.simplex import PreparedProgram
-from repro.net.events import EventScheduler
-from repro.shard.plane import ShardedControlPlane
+from tests.fleet.churn_recipe import drive_churn_recipe
 
 SEED = 105
 CHUNKS = 8
-CHUNK_SIM_S = 20.0
 WITNESS = 539  # the join the two-phase path used to reject
 
 
@@ -41,12 +36,12 @@ def churned_plane():
     real_simplex = PreparedProgram.solve
     real_solve = planner.SessionLP.solve
 
-    def recording_simplex(program, b_ub=None, b_eq=None, upper=(), max_iter=20000, initial_basis=None):
+    def recording_simplex(program, b_ub=None, b_eq=None, upper=(), max_iter=20000, initial_bases=()):
         last_rhs.update(b_ub=b_ub, upper=upper)
-        return real_simplex(program, b_ub, b_eq, upper, max_iter, initial_basis)
+        return real_simplex(program, b_ub, b_eq, upper, max_iter, initial_bases)
 
-    def recording_solve(lp, index, initial_basis=None):
-        outcome = real_solve(lp, index, initial_basis)
+    def recording_solve(lp, index, bases=()):
+        outcome = real_solve(lp, index, bases)
         if lp.spec.session_id == WITNESS:
             # The program as the solver holds it: bounds are rows of the standard form.
             program = lp.shape.program
@@ -59,50 +54,11 @@ def churned_plane():
             )
         return outcome
 
-    scheduler = EventScheduler()
-    plane = ShardedControlPlane(
-        3,
-        fleet_of(SOAK_DC_CITIES[:8], inbound_mbps=1_000.0, outbound_mbps=1_000.0, coding_mbps=900.0),
-        scheduler,
-        manager_kwargs={"backbone_mbps": 100_000.0},
-    )
-    shard_ids = sorted(plane.shards)
-    down = {}
-
-    def crash(shard_id: str) -> None:
-        shard = plane.shards[shard_id]
-        down[shard_id] = next(r for r in shard.replicas if r.name == shard.lease.holder)
-        down[shard_id].crash()
-
-    joins = 0
-    patch = pytest.MonkeyPatch()
-    patch.setattr(PreparedProgram, "solve", recording_simplex)
-    patch.setattr(planner.SessionLP, "solve", recording_solve)
-    try:
-        for chunk in range(CHUNKS):
-            base = chunk * CHUNK_SIM_S
-            trace = ChurnTrace.generate(
-                SEED * 100_000 + chunk,
-                duration_s=CHUNK_SIM_S,
-                arrival_rate_per_s=5.0,
-                mean_holding_s=40.0,
-                delay_choices_ms=(100.0, 150.0),
-                start_id=joins + 1,
-            )
-            for event in trace.events:
-                if event.kind == JOIN:
-                    scheduler.schedule_at(base + event.time_s, plane.submit, event.spec)
-                    joins += 1
-                else:
-                    scheduler.schedule_at(base + event.time_s, plane.depart, event.session_id)
-            shard_id = shard_ids[chunk % len(shard_ids)]
-            scheduler.schedule_at(base + 5.0, crash, shard_id)
-            scheduler.schedule_at(base + 15.0, lambda s=shard_id: down.pop(s).restore())
-            scheduler.run(until=base + CHUNK_SIM_S)
-    finally:
-        patch.undo()
-        plane.stop()
-    return plane, joins, witness
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PreparedProgram, "solve", recording_simplex)
+        patch.setattr(planner.SessionLP, "solve", recording_solve)
+        run = drive_churn_recipe(SEED, CHUNKS, vnf_gbps=1.0)
+    return run.plane, run.joins, witness
 
 
 def test_every_join_is_admitted(churned_plane):

@@ -1,12 +1,13 @@
 """Bit-identity of the shape memo and the ``B⁻¹b`` restart.
 
-``PINNED`` was recorded at the parent commit, before ``src/`` was
-touched: one SHA-256 over a 3-shard plane under the benchmark's
+``PINNED_DECISIONS`` was recorded at the parent commit, before ``src/``
+was touched: one SHA-256 over a 3-shard plane under the benchmark's
 ``plane-churn-failover`` recipe (seed 11, 8 chunks, one primary crash
-per chunk) — every verdict, every solve's pivot count and basis, every
-PoP's forwarding table.  Compiling an LP shape once and re-solving a
-known basis with one ``B⁻¹ b`` may change what a join *costs*, never
-what it *answers*.
+per chunk; the ``churned_seed_11`` fixture) — every verdict with λ on the fingerprint grid, every PoP's
+forwarding table after every chunk, every index, retry and takeover.
+Compiling an LP shape once and answering from a remembered basis with
+one ``B⁻¹ b`` may change what a join *costs* — which solves are warm, how
+many pivots — and that may only improve; never what it *answers*.
 
 Two references back the digest.  ``_reference_lp`` is the by-name,
 per-session matrix build the planner used before shapes existed; it
@@ -22,94 +23,33 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.fleet import planner
-from repro.fleet.churn import JOIN, ChurnTrace
-from repro.fleet.manager import COLD, FleetManager, fleet_of
-from repro.fleet.soak import SOAK_DC_CITIES, soak_datacenters
+from repro.fleet.churn import ChurnTrace
+from repro.fleet.manager import COLD, FleetManager
+from repro.fleet.soak import soak_datacenters
 from repro.lp import simplex
 from repro.lp.simplex import PreparedProgram, solve_simplex
-from repro.net.events import EventScheduler
-from repro.shard.plane import ShardedControlPlane
 from tests.lp.test_simplex_equivalence import _packing_lp
 
-SEED = 11
-CHUNKS = 8
-CHUNK_SIM_S = 20.0
-PINNED = "574f2c37a8c7a619b1a36740bbf4873547eba87d6057dc2ca595fbb6df3a50f2"
+#: Recorded at the parent commit, before ``src/`` was touched (see
+#: :meth:`tests.fleet.churn_recipe.ChurnedPlane.decision_digest`).
+PINNED_DECISIONS = "e25ae117b3896bdf91609c81c15e490edd2d9114a6db5d4f985bb545e5f123b6"
+#: What the same recipe cost at the parent: one basis per signature per
+#: manager, lost at every takeover.
+PARENT_WARM, PARENT_PIVOTS, JOINS = 292, 9_903, 769
 
 
-def churned_plane_digest(monkeypatch: pytest.MonkeyPatch) -> tuple[str, int, int]:
-    """The benchmark's churn recipe; (digest, joins, warm solves)."""
-    solves: list[tuple[int, tuple[int, ...] | None]] = []
-    real_solve = FleetManager._solve
-
-    def recording_solve(manager, lp):
-        result, plan = real_solve(manager, lp)
-        solves.append((result.iterations, result.basis))
-        return result, plan
-
-    monkeypatch.setattr(FleetManager, "_solve", recording_solve)
-    scheduler = EventScheduler()
-    plane = ShardedControlPlane(
-        3,
-        fleet_of(SOAK_DC_CITIES[:8], inbound_mbps=10_000.0, outbound_mbps=10_000.0, coding_mbps=9_000.0),
-        scheduler,
-        manager_kwargs={"backbone_mbps": 100_000.0},
-    )
-    shard_ids = sorted(plane.shards)
-    down = {}
-
-    def crash(shard_id: str) -> None:
-        shard = plane.shards[shard_id]
-        down[shard_id] = next(r for r in shard.replicas if r.name == shard.lease.holder)
-        down[shard_id].crash()
-
-    joins = 0
-    tables: list[tuple[int, str, str, str]] = []
-    for chunk in range(CHUNKS):
-        base = chunk * CHUNK_SIM_S
-        trace = ChurnTrace.generate(
-            SEED * 100_000 + chunk,
-            duration_s=CHUNK_SIM_S,
-            arrival_rate_per_s=5.0,
-            mean_holding_s=40.0,
-            delay_choices_ms=(100.0, 150.0),
-            start_id=joins + 1,
-        )
-        for event in trace.events:
-            if event.kind == JOIN:
-                scheduler.schedule_at(base + event.time_s, plane.submit, event.spec)
-                joins += 1
-            else:
-                scheduler.schedule_at(base + event.time_s, plane.depart, event.session_id)
-        shard_id = shard_ids[chunk % len(shard_ids)]
-        scheduler.schedule_at(base + 5.0, crash, shard_id)
-        scheduler.schedule_at(base + 15.0, lambda s=shard_id: down.pop(s).restore())
-        scheduler.run(until=base + CHUNK_SIM_S)
-        for sid in shard_ids:
-            for dc, text in plane.shards[sid].manager.forwarding_tables().items():
-                tables.append((chunk, sid, dc, text))
-    plane.stop()
-
-    digest = hashlib.sha256()
-    for v in plane.verdicts:
-        digest.update(
-            repr(
-                (v.session_id, v.status.value, repr(v.lambda_mbps), v.warm_started, v.vnfs_launched, v.epoch)
-            ).encode()
-        )
-    digest.update(repr(solves).encode())
-    digest.update(repr(tables).encode())
-    warm = sum(1 for v in plane.verdicts if v.warm_started)
-    return digest.hexdigest(), joins, warm
+def test_churned_plane_is_bit_identical_to_the_parent(churned_seed_11):
+    assert churned_seed_11.run.joins == JOINS
+    assert churned_seed_11.run.decision_digest() == PINNED_DECISIONS
 
 
-def test_churned_plane_is_bit_identical_to_the_parent(monkeypatch):
-    digest, joins, warm = churned_plane_digest(monkeypatch)
-    assert (joins, warm) == (769, 292)
-    assert digest == PINNED
+def test_remembered_bases_only_make_a_join_cheaper(churned_seed_11):
+    results = [solve.result for solve in churned_seed_11.solves]
+    assert len(results) == JOINS, "one LP solve per join"
+    assert sum(1 for v in churned_seed_11.run.plane.verdicts if v.warm_started) >= PARENT_WARM
+    assert sum(result.iterations for result in results) <= PARENT_PIVOTS
 
 
 # -- the by-name reference build (the pre-shape SessionLP) ---------------------
@@ -279,7 +219,7 @@ def test_remembered_basis_restart_equals_the_full_warm_path(monkeypatch, rng):
         for factor in (1.0, 1.03, 0.6, 2.5, 1.0):
             full = solve_simplex(c, a_ub=a, b_ub=b * factor, bounds=bounds, initial_basis=cold.basis)
             loops_before = len(pivot_loops)
-            fast = program.solve(b * factor, upper=upper, initial_basis=cold.basis)
+            fast = program.solve(b * factor, upper=upper, initial_bases=[cold.basis])
             if factor != 1.0 and fast.warm_started:
                 assert len(pivot_loops) == loops_before, "a settled basis needs no tableau"
                 restarts += 1

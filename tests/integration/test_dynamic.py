@@ -165,6 +165,31 @@ class TestHashSeedIndependence:
         outputs = [out for out, _ in results]
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
+    def test_fleet_and_shard_soak_records_identical_under_two_hash_seeds(self, tmp_path):
+        # Ordering determinism as a run, not a rule: the basis memory, the
+        # shape memo and every per-PoP table are ordered containers, and no
+        # lint rule sees a `for` over a set that decides their order.  The
+        # whole JSON record (warm_hits included) is compared byte for byte.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        sweeps = {"fleet": "3", "shard": "2"}
+        procs = {
+            (scenario, hash_seed): subprocess.Popen(
+                [sys.executable, "-m", "repro.soak", scenario, "--seeds", seeds,
+                 "--json", str(tmp_path / f"{scenario}-{hash_seed}.json")],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for scenario, seeds in sweeps.items()
+            for hash_seed in ("1", "2")
+        }
+        results = {key: proc.communicate(timeout=120) for key, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values()), results
+        for scenario in sweeps:
+            first, second = ((tmp_path / f"{scenario}-{h}.json").read_bytes() for h in ("1", "2"))
+            assert first and first == second, scenario
+
 
 class TestControllerFactory:
     def test_providers_by_region(self, scheduler):
