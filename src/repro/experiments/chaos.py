@@ -110,7 +110,7 @@ def run_chaos_session(
     typed = bool(
         result.applied_faults
         or result.dead_nodes
-        or result.bus.dropped
+        or result.bus.dropped_count
         or result.undeliverable_signals
     )
     # Fingerprinted: every behaviourally meaningful observable.  Bus
@@ -139,7 +139,7 @@ def run_chaos_session(
             tuple(result.dead_nodes),
             tuple((repr(t), e.kind.value, e.target) for t, e in result.applied_faults),
             result.undeliverable_signals,
-            len(result.bus.dropped),
+            result.bus.dropped_count,
             total_generations,
         ),
         total_generations=total_generations,
@@ -148,7 +148,7 @@ def run_chaos_session(
         finished_at=max(finish_times) if completed and finish_times else None,
         dead_nodes=tuple(result.dead_nodes),
         applied_faults=len(result.applied_faults),
-        dropped_signals=len(result.bus.dropped),
+        dropped_signals=result.bus.dropped_count,
         undeliverable_signals=result.undeliverable_signals,
         nacks_sent=sum(app.nacks_sent for app in result.receivers.values()),
         repair_packets=result.source.repair_packets,

@@ -256,7 +256,7 @@ def run_butterfly_failover(
 
     # -- metrics -------------------------------------------------------
     result.applied_faults = list(injector.applied)
-    result.undeliverable_signals = len(bus.undeliverable)
+    result.undeliverable_signals = bus.undeliverable_count
     result.heartbeats_sent = {name: d.heartbeats_sent for name, d in live.daemons.items()}
     if result.detected_at is not None:
         result.detection_latency_s = result.detected_at - fail_at_s

@@ -328,8 +328,8 @@ def run_scenario(
         nacks_suppressed=receiver.nacks_suppressed,
         repair_packets=source.repair_packets,
         corrupt_dropped=receiver.corrupt_dropped,
-        undeliverable_signals=len(bus.undeliverable),
-        dropped_signals=len(bus.dropped),
+        undeliverable_signals=bus.undeliverable_count,
+        dropped_signals=bus.dropped_count,
         source=source,
         receiver=receiver,
         controller=controller,

@@ -184,7 +184,6 @@ class FleetManager:
         self.config_fence = 0
         self.lp_solves = 0
         self.warm_hits = 0
-        self.verdicts: list[AdmissionVerdict] = []
 
     # -- overlay geometry --------------------------------------------------
 
@@ -215,50 +214,44 @@ class FleetManager:
         unknown = [city for city in (spec.source_city, *spec.receiver_cities) if city not in self.wan]
         path_sets = {} if unknown else self._candidate_paths(spec)
         if unknown or any(not paths for paths in path_sets.values()):
-            return self._record(
-                AdmissionVerdict(
-                    session_id=spec.session_id,
-                    status=AdmissionStatus.REJECTED_INFEASIBLE,
-                    lambda_mbps=0.0,
-                    requested_mbps=spec.rate_mbps,
-                    lp_solves=0,
-                    warm_started=False,
-                    vnfs_launched=0,
-                    epoch=self.config_epoch,
-                    reason=f"unknown city {unknown[0]!r}" if unknown else "no route within the delay bound",
-                )
+            return AdmissionVerdict(
+                session_id=spec.session_id,
+                status=AdmissionStatus.REJECTED_INFEASIBLE,
+                lambda_mbps=0.0,
+                requested_mbps=spec.rate_mbps,
+                lp_solves=0,
+                warm_started=False,
+                vnfs_launched=0,
+                epoch=self.config_epoch,
+                reason=f"unknown city {unknown[0]!r}" if unknown else "no route within the delay bound",
             )
         lp = self._new_lp(spec, path_sets)
         result, plan = self._solve(lp)
         if plan is None or plan.lambda_mbps < spec.rate_mbps - _RATE_TOL:
             achieved = 0.0 if plan is None else plan.lambda_mbps
-            return self._record(
-                AdmissionVerdict(
-                    session_id=spec.session_id,
-                    status=AdmissionStatus.REJECTED_CAPACITY,
-                    lambda_mbps=achieved,
-                    requested_mbps=spec.rate_mbps,
-                    lp_solves=1,
-                    warm_started=result.warm_started,
-                    vnfs_launched=0,
-                    epoch=self.config_epoch,
-                    reason=f"residual capacity carries {achieved:.3f}/{spec.rate_mbps:.3f} Mbps",
-                )
+            return AdmissionVerdict(
+                session_id=spec.session_id,
+                status=AdmissionStatus.REJECTED_CAPACITY,
+                lambda_mbps=achieved,
+                requested_mbps=spec.rate_mbps,
+                lp_solves=1,
+                warm_started=result.warm_started,
+                vnfs_launched=0,
+                epoch=self.config_epoch,
+                reason=f"residual capacity carries {achieved:.3f}/{spec.rate_mbps:.3f} Mbps",
             )
         self.sessions[spec.session_id] = spec
         self._lps[spec.session_id] = lp
         launched = self._apply(plan)
-        return self._record(
-            AdmissionVerdict(
-                session_id=spec.session_id,
-                status=AdmissionStatus.ADMITTED,
-                lambda_mbps=plan.lambda_mbps,
-                requested_mbps=spec.rate_mbps,
-                lp_solves=1,
-                warm_started=result.warm_started,
-                vnfs_launched=launched,
-                epoch=self.config_epoch,
-            )
+        return AdmissionVerdict(
+            session_id=spec.session_id,
+            status=AdmissionStatus.ADMITTED,
+            lambda_mbps=plan.lambda_mbps,
+            requested_mbps=spec.rate_mbps,
+            lp_solves=1,
+            warm_started=result.warm_started,
+            vnfs_launched=launched,
+            epoch=self.config_epoch,
         )
 
     def depart(self, session_id: int) -> FleetPlan | None:
@@ -304,31 +297,27 @@ class FleetManager:
             self._install(old)
             self.index.apply(old)
             self._grow_vnfs(old_dcs)
-            return self._record(
-                AdmissionVerdict(
-                    session_id=session_id,
-                    status=AdmissionStatus.REJECTED_CAPACITY,
-                    lambda_mbps=0.0 if plan is None else plan.lambda_mbps,
-                    requested_mbps=spec.rate_mbps,
-                    lp_solves=1,
-                    warm_started=result.warm_started,
-                    vnfs_launched=0,
-                    epoch=self.config_epoch,
-                    reason="replan infeasible; previous routing kept",
-                )
-            )
-        launched = self._apply(plan)
-        return self._record(
-            AdmissionVerdict(
+            return AdmissionVerdict(
                 session_id=session_id,
-                status=AdmissionStatus.ADMITTED,
-                lambda_mbps=plan.lambda_mbps,
+                status=AdmissionStatus.REJECTED_CAPACITY,
+                lambda_mbps=0.0 if plan is None else plan.lambda_mbps,
                 requested_mbps=spec.rate_mbps,
                 lp_solves=1,
                 warm_started=result.warm_started,
-                vnfs_launched=launched,
+                vnfs_launched=0,
                 epoch=self.config_epoch,
+                reason="replan infeasible; previous routing kept",
             )
+        launched = self._apply(plan)
+        return AdmissionVerdict(
+            session_id=session_id,
+            status=AdmissionStatus.ADMITTED,
+            lambda_mbps=plan.lambda_mbps,
+            requested_mbps=spec.rate_mbps,
+            lp_solves=1,
+            warm_started=result.warm_started,
+            vnfs_launched=launched,
+            epoch=self.config_epoch,
         )
 
     # -- warm-standby adoption ---------------------------------------------
@@ -361,6 +350,17 @@ class FleetManager:
         self.index.rebuild(self.plans.values())
         self.config_epoch = max(self.config_epoch, config_epoch)
         self.config_fence = fence
+
+    def forget_sessions(self) -> None:
+        """Become a husk: the process this manager modelled is gone for good.
+
+        Everything per-session goes (specs, plans, routes, LPs, the index's
+        load); identity, ``lp_solves``/``warm_hits``, the config stamp and
+        the basis memory stay, so ledgers that sum over deposed managers
+        still add up.  A husk's ``republish_config`` pushes nothing.
+        """
+        self.sessions, self.plans, self._routes, self._lps = {}, {}, {}, {}
+        self.index.rebuild(())
 
     # -- internals ---------------------------------------------------------
 
@@ -526,10 +526,6 @@ class FleetManager:
                 )
             )
         return len(touched_by_dc)
-
-    def _record(self, verdict: AdmissionVerdict) -> AdmissionVerdict:
-        self.verdicts.append(verdict)
-        return verdict
 
     # -- fleet views -------------------------------------------------------
 

@@ -24,7 +24,13 @@ still sends is rejected as stale (split-brain defense, DESIGN.md §14).
 
 The deposed manager is *kept* on ``zombies`` — still wired to the
 shard bus — because the dangerous scenario is precisely a zombie that
-can still talk; tests drive it to prove the fence holds.
+can still talk; tests drive it to prove the fence holds.  Only the
+*last* deposed manager can still be a running process (a shard has two
+replicas, and an earlier zombie's replica has since been restored as an
+empty standby; with r replicas, the last r − 1), so each takeover turns
+the zombie before it into a husk
+(:meth:`~repro.fleet.manager.FleetManager.forget_sessions`): a shard's
+memory follows its live sessions, not its takeover count.
 """
 
 from __future__ import annotations
@@ -338,6 +344,10 @@ class ShardController:
         deposed_holder = self._holder_replica()
         crashed_at = None if deposed_holder.alive else deposed_holder.crashed_at
         fence = self.lease.transfer(successor.name, detected_at)
+        # Deposed processes that can still be running: one per other replica.
+        stale = len(self.zombies) - (len(self.replicas) - 1)
+        if stale >= 0:
+            self.zombies[stale].forget_sessions()
         self.zombies.append(self.manager)
         manager = self._make_manager()
         manager.adopt_state(

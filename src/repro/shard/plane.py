@@ -23,10 +23,11 @@ Two delivery disciplines live here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.core.signals import NcShardLease, Signal
+from repro.core.signals import KEPT_RECORDS, NcShardLease, Signal
 from repro.fleet.capacity import FleetDataCenter
 from repro.fleet.churn import SessionSpec
 from repro.fleet.verdict import AdmissionStatus, AdmissionVerdict
@@ -86,7 +87,7 @@ class CrossShardChannel:
         self.timeout_s = timeout_s
         self._endpoints: dict[str, Callable[[Signal], None]] = {}
         self._ready: dict[str, Callable[[], bool]] = {}
-        self.log: list[CrossShardDelivery] = []
+        self.log: deque[CrossShardDelivery] = deque(maxlen=KEPT_RECORDS)
         self.expired: list[CrossShardDelivery] = []
         self.retries = 0
 
@@ -222,7 +223,10 @@ class ShardedControlPlane:
         self.verdicts: list[AdmissionVerdict] = []
         self.departed: list[int] = []
         self.stats = PlaneStats()
+        # Specs of sessions submitted and not yet left, and every id ever
+        # submitted: a late leave or replan is a no-op, an unknown id an error.
         self._sessions_by_id: dict[int, SessionSpec] = {}
+        self._seen: set[int] = set()
         # Join ops still riding the retry loop, and sessions whose leave
         # arrived while their join was in flight (an outage can delay a
         # join past its own departure; the join must then undo itself).
@@ -285,6 +289,7 @@ class ShardedControlPlane:
     def submit(self, spec: SessionSpec) -> None:
         """Join request: ends in a typed verdict, whatever the shard does."""
         self.stats.submitted += 1
+        self._seen.add(spec.session_id)
         self._sessions_by_id[spec.session_id] = spec
         op = _PendingOp(kind="join", session_id=spec.session_id, spec=spec)
         self._pending_joins[spec.session_id] = op
@@ -308,6 +313,8 @@ class ShardedControlPlane:
     def _attempt(self, op: _PendingOp) -> None:
         spec = op.spec if op.spec is not None else self._sessions_by_id.get(op.session_id)
         if spec is None:
+            if op.session_id in self._seen:
+                return  # its leave has already landed: nothing to move or undo
             raise KeyError(f"session {op.session_id} was never submitted")
         shard = self._home_shard(spec)
         if op.kind == "join":
@@ -316,13 +323,17 @@ class ShardedControlPlane:
             if verdict is not None:
                 self.verdicts.append(verdict)
                 self._pending_joins.pop(op.session_id, None)
-                if verdict.admitted and op.session_id in self._cancelled:
+                if op.session_id in self._cancelled:
                     self._cancelled.discard(op.session_id)
-                    self._attempt(_PendingOp(kind="leave", session_id=op.session_id))
+                    if verdict.admitted:
+                        self._attempt(_PendingOp(kind="leave", session_id=op.session_id))
+                    else:
+                        del self._sessions_by_id[op.session_id]
                 return
         elif op.kind == "leave":
             if shard.try_depart(op.session_id) is not None:
                 self.departed.append(op.session_id)
+                del self._sessions_by_id[op.session_id]
                 return
         else:  # replan
             if op.session_id not in shard.manager.sessions:
@@ -342,7 +353,9 @@ class ShardedControlPlane:
     def _exhausted(self, op: _PendingOp, spec: SessionSpec) -> None:
         if op.kind == "join":
             self._pending_joins.pop(op.session_id, None)
-            self._cancelled.discard(op.session_id)
+            if op.session_id in self._cancelled:  # its leave came first and is spent
+                self._cancelled.discard(op.session_id)
+                del self._sessions_by_id[op.session_id]
             self.stats.unavailable_rejections += 1
             self.verdicts.append(
                 AdmissionVerdict(

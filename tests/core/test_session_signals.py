@@ -11,6 +11,7 @@ from repro.core import (
     NcVnfEnd,
     NcVnfStart,
     SignalBus,
+    signals,
 )
 from repro.rlnc.redundancy import RedundancyPolicy
 
@@ -97,7 +98,7 @@ class TestSignalBus:
         assert record.delivered_at is None
         assert record.status == "undeliverable"
         assert record.attempts == bus.max_retries + 1
-        assert bus.undeliverable == [record]
+        assert list(bus.undeliverable) == [record] and bus.undeliverable_count == 1
 
     def test_retry_reaches_late_registration(self, scheduler):
         # A daemon that comes back mid-retry still gets the signal.
@@ -109,7 +110,16 @@ class TestSignalBus:
         scheduler.run()
         assert [s.session_id for s in got] == [9]
         assert record.status == "delivered"
-        assert bus.undeliverable == []
+        assert not bus.undeliverable and bus.undeliverable_count == 0
+
+    def test_recorders_keep_the_newest_and_the_counters_keep_count(self, scheduler, monkeypatch):
+        monkeypatch.setattr(signals, "KEPT_RECORDS", 4)
+        bus = SignalBus(scheduler, max_retries=0)
+        records = [bus.send(NcStart(target="ghost", session_id=i)) for i in range(10)]
+        scheduler.run()
+        assert list(bus.log) == list(bus.undeliverable) == records[-4:]
+        assert (bus.sent_count, bus.undeliverable_count, bus.dropped_count) == (10, 10, 0)
+        assert bus.sent_of_kind("NcStart") == records[-4:]  # a filter over what is kept
 
     def test_log_and_kind_filter(self, scheduler):
         bus = SignalBus(scheduler)

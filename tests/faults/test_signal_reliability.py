@@ -58,7 +58,7 @@ class TestRetryThenUndeliverable:
         scheduler.run(until=5.0)
         assert record.status == "delivered"
         assert record.attempts == 2
-        assert bus.undeliverable == []
+        assert not bus.undeliverable
         # The restarted daemon has no running function yet, so the table
         # parks until the controller re-sends NC_SETTINGS.
         assert daemon.pending_table is not None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.fleet.churn import JOIN, ChurnTrace
 from repro.fleet.manager import fleet_of
@@ -53,7 +54,13 @@ class ChurnedPlane:
         return digest.hexdigest()
 
 
-def drive_churn_recipe(seed: int, chunks: int, vnf_gbps: float = 10.0) -> ChurnedPlane:
+def drive_churn_recipe(
+    seed: int,
+    chunks: int,
+    vnf_gbps: float = 10.0,
+    after_chunk: Callable[[int, ShardedControlPlane], None] | None = None,
+) -> ChurnedPlane:
+    """``after_chunk(0, plane)`` runs before the first chunk, ``(n, plane)`` after the n-th."""
     scheduler = EventScheduler()
     mbps = 1_000.0 * vnf_gbps
     plane = ShardedControlPlane(
@@ -65,6 +72,8 @@ def drive_churn_recipe(seed: int, chunks: int, vnf_gbps: float = 10.0) -> Churne
     run = ChurnedPlane(plane)
     shard_ids = sorted(plane.shards)
     down = {}
+    if after_chunk is not None:
+        after_chunk(0, plane)
 
     def crash(shard_id: str) -> None:
         shard = plane.shards[shard_id]
@@ -94,5 +103,7 @@ def drive_churn_recipe(seed: int, chunks: int, vnf_gbps: float = 10.0) -> Churne
         for sid in shard_ids:
             for dc, text in plane.shards[sid].manager.forwarding_tables().items():
                 run.tables.append((chunk, sid, dc, text))
+        if after_chunk is not None:
+            after_chunk(chunk + 1, plane)
     plane.stop()
     return run

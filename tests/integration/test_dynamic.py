@@ -144,6 +144,28 @@ for sweep in (alpha_sweep([0, 20, 100]), lmax_sweep([75, 150])):
 """
 
 
+def _soak_records_match(tmp_path, sweeps):
+    """``python -m repro.soak <scenario> --seeds N --json`` under hash seeds 1 and 2, byte-compared."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    procs = {
+        (scenario, hash_seed): subprocess.Popen(
+            [sys.executable, "-m", "repro.soak", scenario, "--seeds", seeds,
+             "--json", str(tmp_path / f"{scenario}-{hash_seed}.json")],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for scenario, seeds in sweeps.items()
+        for hash_seed in ("1", "2")
+    }
+    results = {key: proc.communicate(timeout=120) for key, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values()), results
+    for scenario in sweeps:
+        first, second = ((tmp_path / f"{scenario}-{h}.json").read_bytes() for h in ("1", "2"))
+        assert first and first == second, scenario
+
+
 class TestHashSeedIndependence:
     def test_fig12_fig13_sweeps_identical_under_three_hash_seeds(self):
         # The LP's link columns were once laid out in set-iteration
@@ -170,25 +192,11 @@ class TestHashSeedIndependence:
         # shape memo and every per-PoP table are ordered containers, and no
         # lint rule sees a `for` over a set that decides their order.  The
         # whole JSON record (warm_hits included) is compared byte for byte.
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        sweeps = {"fleet": "3", "shard": "2"}
-        procs = {
-            (scenario, hash_seed): subprocess.Popen(
-                [sys.executable, "-m", "repro.soak", scenario, "--seeds", seeds,
-                 "--json", str(tmp_path / f"{scenario}-{hash_seed}.json")],
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-            for scenario, seeds in sweeps.items()
-            for hash_seed in ("1", "2")
-        }
-        results = {key: proc.communicate(timeout=120) for key, proc in procs.items()}
-        assert all(proc.returncode == 0 for proc in procs.values()), results
-        for scenario in sweeps:
-            first, second = ((tmp_path / f"{scenario}-{h}.json").read_bytes() for h in ("1", "2"))
-            assert first and first == second, scenario
+        _soak_records_match(tmp_path, {"fleet": "3", "shard": "2"})
+
+    def test_session_and_adapt_soak_records_identical_under_two_hash_seeds(self, tmp_path):
+        # The packet-level soaks key daemons, gates and fault targets by name too.
+        _soak_records_match(tmp_path, {"session": "3", "adapt": "3"})
 
 
 class TestControllerFactory:

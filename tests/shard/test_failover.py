@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fleet.churn import SessionSpec
-from repro.fleet.manager import fleet_of
+from repro.fleet.manager import FleetManager, fleet_of
 from repro.net.events import EventScheduler
 from repro.shard.controller import ShardController
 
@@ -115,6 +115,39 @@ def test_restored_replica_rejoins_as_standby_and_can_take_over_again():
     assert shard.lease.holder == "Chicago#r0"
     assert shard.lease.fence == 3
     assert shard.manager.active_sessions == 1
+
+
+def test_second_takeover_husks_the_first_zombie_and_still_fences_the_last():
+    # Two replicas: once r0 has come back as an empty standby, only the *last*
+    # deposed manager can still be a running process.  It must stay whole,
+    # wired and fenced; the one before it keeps its ledger and nothing else.
+    scheduler, shard = make_shard()
+    for sid in (1, 2):
+        assert shard.try_admit(spec(sid, receivers=("Denver", "Kansas City"))) is not None
+    scheduler.schedule_at(1.05, shard.replicas[0].crash)
+    scheduler.schedule_at(3.0, shard.replicas[0].restore)
+    scheduler.schedule_at(4.5, shard.replicas[1].crash)
+    scheduler.run(until=8.0)
+    assert len(shard.takeovers) == 2 and shard.manager.active_sessions == 2
+    assert shard.store is not None
+    husk, zombie = shard.zombies
+
+    assert (husk.sessions, husk.plans, husk._routes, husk._lps) == ({}, {}, {}, {})
+    assert husk.index.canonical() == FleetManager(fleet_of(CITIES)).index.canonical()
+    assert (husk.lp_solves, husk.config_fence) == (2, 1), "the ledger and the stamp stay"
+    assert husk.basis_memory, "and so does what it learned"
+    sent_before = shard.bus.sent_count
+    assert husk.republish_config() == 0 and shard.bus.sent_count == sent_before
+
+    assert len(zombie.plans) == 2 and zombie.config_fence == 2
+    rejected_before, tables_before = shard.store.stale_rejected, dict(shard.store.tables)
+    for _ in range(5):
+        zombie.republish_config()
+    scheduler.run(until=10.0)
+    shard.stop()
+    assert zombie.config_epoch > shard.manager.config_epoch
+    assert shard.store.stale_rejected > rejected_before
+    assert shard.store.tables == tables_before  # nothing zombie-written
 
 
 def test_dual_failure_waits_for_any_restore_then_takes_over():

@@ -214,6 +214,7 @@ def test_leave_overtaking_a_delayed_join_still_drains():
     (verdict,) = plane.verdicts
     assert verdict.status is AdmissionStatus.ADMITTED  # the join DID land...
     assert plane.departed == [1]  # ...and then undid itself
+    assert plane._sessions_by_id == {} and not plane._cancelled
     assert plane.active_sessions == 0
     assert plane.total_vnfs == 0
     assert not plane.stats.stranded
@@ -232,6 +233,62 @@ def test_leave_during_brief_outage_is_retried_until_it_lands():
     assert plane.departed == [1]
     assert plane.active_sessions == 0
     assert not plane.stats.stranded
+
+
+def test_a_second_leave_or_a_late_replan_for_a_landed_session_is_a_no_op():
+    # A repeated leave used to land in ``departed`` twice (the manager found
+    # no plan and the shard still answered True): a surplus leave to anyone
+    # checking joins - len(departed).
+    scheduler, plane = make_plane()
+    plane.submit(spec(1, CITIES[0], CITIES[1:2]))
+    plane.depart(1)
+    plane.depart(1)
+    plane.replan(1)
+    scheduler.run(until=2.0)
+    plane.stop()
+    assert plane.departed == [1]
+    assert len(plane.verdicts) == 1 and not plane.stats.stranded
+    assert plane.stats.departs == 2 and plane.stats.replans == 1  # requests, not outcomes
+    assert plane._sessions_by_id == {}, "the spec goes when its leave lands"
+
+
+def test_two_leaves_riding_out_one_outage_land_once():
+    scheduler, plane = make_plane()
+    s = spec(1, CITIES[0], CITIES[1:2])
+    home = plane.home_of(s)
+    plane.submit(s)
+    outage(plane, home)
+    plane.depart(1)
+    plane.depart(1)  # both in the retry loop; the second finds the first's work done
+    scheduler.schedule_at(0.3, plane.shards[home].replicas[0].restore)
+    scheduler.run(until=20.0)
+    plane.stop()
+    assert plane.departed == [1] and plane.active_sessions == 0
+    assert not plane.stats.stranded
+
+
+def test_a_leave_overtaking_a_rejected_join_keeps_nothing():
+    scheduler, plane = make_plane()
+    home = plane.home_of(spec(1, CITIES[0], ["Atlantis"]))
+    outage(plane, home)
+    plane.submit(spec(1, CITIES[0], ["Atlantis"]))  # will be refused once the shard is back
+    plane.depart(1)
+    scheduler.schedule_at(0.3, plane.shards[home].replicas[0].restore)
+    scheduler.run(until=20.0)
+    plane.stop()
+    (verdict,) = plane.verdicts
+    assert verdict.status is AdmissionStatus.REJECTED_INFEASIBLE
+    assert plane.departed == [] and plane._sessions_by_id == {} and not plane._cancelled
+
+
+def test_an_id_the_plane_never_saw_is_still_an_error():
+    _, plane = make_plane()
+    plane.submit(spec(1, CITIES[0], CITIES[1:2]))
+    plane.depart(1)
+    for request in (plane.depart, plane.replan):
+        with pytest.raises(KeyError, match="session 2 was never submitted"):
+            request(2)
+    plane.stop()
 
 
 def test_canonical_is_stable_across_identical_runs():
