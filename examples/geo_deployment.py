@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\n== a new receiver joins session 1 (Alg. 3) ==")
     newcomer = Endpoint(name="late-joiner", region="georgia")
-    _attach_endpoint(controller.graph, newcomer, rng, (40.0, 120.0), outbound=False)
+    _attach_endpoint(controller.graph, newcomer, rng, outbound=False)
     engine.on_receiver_join(sessions[0].session_id, newcomer.name)
     print(f"  session {sessions[0].session_id} now serves "
           f"{len(controller.sessions[sessions[0].session_id].receivers)} receivers "

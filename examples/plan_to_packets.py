@@ -15,7 +15,8 @@ packet level delivers what the LP promised.
 Run:  python examples/plan_to_packets.py     (~15 s)
 """
 
-from repro.core import MulticastSession, build_data_plane
+from repro.core import MulticastSession
+from repro.core.dataplane import build_data_plane
 from repro.core.deployment import DataCenterSpec, DeploymentProblem
 from repro.experiments.butterfly import butterfly_graph
 

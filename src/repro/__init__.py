@@ -19,24 +19,4 @@ Public surface (see the package docstrings for detail):
 - :mod:`repro.cli` — ``python -m repro.cli`` experiment runner.
 """
 
-from repro.core import Controller, MulticastSession, ScalingEngine
-from repro.core.deployment import DataCenterSpec, DeploymentProblem
-from repro.gf import GF256
-from repro.rlnc import Decoder, Encoder, Recoder, reassemble, segment
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "GF256",
-    "Encoder",
-    "Recoder",
-    "Decoder",
-    "segment",
-    "reassemble",
-    "MulticastSession",
-    "Controller",
-    "ScalingEngine",
-    "DeploymentProblem",
-    "DataCenterSpec",
-]

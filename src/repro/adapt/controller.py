@@ -114,17 +114,15 @@ class AdaptiveRedundancyController:
         daemon_targets: tuple[str, ...] = (),
         apply_source: Callable[[CodingConfig], None] | None = None,
         policy: AdaptPolicy | None = None,
-        name: str = CONTROLLER_NAME,
         fence: int = 0,
-        epoch: int = 0,
     ) -> None:
         self.bus = bus
         self.scheduler = scheduler
         self.session_id = session_id
         self.policy = policy if policy is not None else AdaptPolicy()
-        self.name = name
+        self.name = CONTROLLER_NAME
         self.fence = fence
-        self.epoch = epoch
+        self.epoch = 0
         self.daemon_targets = tuple(daemon_targets)
         self.apply_source = apply_source
         self.static_config = initial   # the starvation fallback
@@ -141,7 +139,7 @@ class AdaptiveRedundancyController:
         self._reporter_epochs: dict[str, int] = {}
         self._reporter_loss: dict[str, float] = {}
         self._last_report_at = scheduler.now
-        bus.register(name, self.handle_signal)
+        bus.register(self.name, self.handle_signal)
         self._watchdog: PeriodicEvent = scheduler.schedule_every(
             self.policy.report_timeout_s / 2, self._check_starvation
         )

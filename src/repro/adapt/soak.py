@@ -49,6 +49,13 @@ SIGNAL_KINDS = ("NcLinkReport", "NcSettings")
 #: as healthy forward progress even under faults.
 PROGRESS_FLOOR = 0.5
 
+#: Fault budget of one run.  The outage bound sits *above* the
+#: controller's 2 s report timeout so reporter kills can outlast the
+#: starvation clock and exercise the ``ADAPT_STALLED`` fallback, not
+#: just brief blips.
+MAX_FAULTS = 4
+MAX_OUTAGE_S = 3.0
+
 
 @dataclass(frozen=True)
 class AdaptRecord(SoakRecord):
@@ -130,27 +137,18 @@ def run_adapt_session(
     preset: ScenarioPreset = GEO_SATELLITE,
     loss: float = 0.15,
     duration_s: float = 8.0,
-    max_faults: int = 4,
-    max_outage_s: float = 3.0,
-    plan: FaultPlan | None = None,
 ) -> AdaptRecord:
-    """One seeded adaptive chaos run: random plan × hostile-link transfer.
-
-    ``max_outage_s`` defaults *above* the controller's 2 s report
-    timeout so reporter kills can outlast the starvation clock and
-    exercise the ``ADAPT_STALLED`` fallback, not just brief blips.
-    """
-    if plan is None:
-        links = tuple(link_key(a, b) for a, b in zip(preset.nodes, preset.nodes[1:]))
-        plan = FaultPlan.random(
-            seed,
-            duration_s=duration_s * 0.6,
-            links=links,
-            daemons=tuple(preset.relays) + (REPORTER_HANDLE,),
-            signal_kinds=SIGNAL_KINDS,
-            max_faults=max_faults,
-            max_outage_s=max_outage_s,
-        )
+    """One seeded adaptive chaos run: random plan × hostile-link transfer."""
+    links = tuple(link_key(a, b) for a, b in zip(preset.nodes, preset.nodes[1:]))
+    plan = FaultPlan.random(
+        seed,
+        duration_s=duration_s * 0.6,
+        links=links,
+        daemons=tuple(preset.relays) + (REPORTER_HANDLE,),
+        signal_kinds=SIGNAL_KINDS,
+        max_faults=MAX_FAULTS,
+        max_outage_s=MAX_OUTAGE_S,
+    )
     result = run_scenario(
         preset, mode="adaptive", loss=loss, duration_s=duration_s, seed=seed, plan=plan
     )

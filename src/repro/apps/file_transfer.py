@@ -129,6 +129,7 @@ class NcSourceApp:
         self.sent_packets = 0
         self.repair_packets = 0
         self.coding_retunes = 0
+        self.malformed_control = 0
         self.first_generation_sent_at: float | None = None
         self._pending_coding: tuple[CodingConfig, dict | None] | None = None
         self._running = False
@@ -223,23 +224,28 @@ class NcSourceApp:
         return self.sent_generations - (self.min_cum_ack + 1) < self.window_generations
 
     def _on_control(self, dgram: Datagram) -> None:
+        """ACK/NACK intake: anything but a well-formed message for this
+        session is a counted drop, never an exception out of the event loop."""
         message = dgram.payload
-        if not isinstance(message, tuple):
-            return
-        if message[0] == "cum_ack":
-            _, session_id, receiver, upto = message
-            if session_id != self.session.session_id:
-                return
+        if not isinstance(message, tuple) or len(message) < 2 or message[1] != self.session.session_id:
+            self.malformed_control += 1
+        elif message[0] == "cum_ack" and len(message) == 4 and isinstance(message[3], int):
+            _, _, receiver, upto = message
             previous = self._receiver_cum_ack.get(receiver, -1)
             self._receiver_cum_ack[receiver] = max(previous, upto)
             if self._stalled and self._window_open():
                 self._stalled = False
                 self.node.scheduler.schedule(0.0, self._emit_generation)
-        elif message[0] == "nack":
-            _, session_id, generation_id, missing_dof, missing_indices = message
-            if session_id != self.session.session_id:
-                return
-            self._repair(generation_id, missing_dof, missing_indices)
+        elif (
+            message[0] == "nack"
+            and len(message) == 5
+            and isinstance(message[2], int)
+            and isinstance(message[3], int)
+            and isinstance(message[4], tuple)
+        ):
+            self._repair(message[2], message[3], message[4])
+        else:
+            self.malformed_control += 1
 
     # -- generation pacing -----------------------------------------------------
 

@@ -23,7 +23,6 @@ def non_nc_multicast_rate(
     source: str,
     destinations: list,
     relay_nodes: set | None = None,
-    max_delay_ms: float = float("inf"),
     multipath: bool = True,
 ) -> float:
     """Best routing-only multicast rate (Mbps).
@@ -34,6 +33,6 @@ def non_nc_multicast_rate(
     tree (a classic application-layer multicast).
     """
     if multipath:
-        return tree_packing_rate(graph, source, destinations, relay_nodes, max_delay_ms)
+        return tree_packing_rate(graph, source, destinations, relay_nodes)
     _, rate = best_multicast_tree(graph, source, destinations, relay_nodes)
     return rate

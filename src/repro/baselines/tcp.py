@@ -105,12 +105,11 @@ def direct_tcp_throughput_mbps(
     capacity_mbps: float,
     rtt_s: float,
     loss_rate: float = 0.0,
-    duration_s: float = 60.0,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Mean TCP throughput over the direct path (AIMD sim, Mathis-clamped)."""
+    """Mean TCP throughput over 60 s of the direct path (AIMD sim, Mathis-clamped)."""
     rng = rng if rng is not None else derive_rng("baselines.tcp.direct")
     sim = TcpAimdSimulator(capacity_mbps=capacity_mbps, rtt_s=rtt_s, loss_rate=loss_rate)
-    mean = sim.run(duration_s, rng)["mean_mbps"]
+    mean = sim.run(60.0, rng)["mean_mbps"]
     bound = MathisModel().throughput_mbps(rtt_s, loss_rate, capacity_mbps)
     return min(mean, bound)

@@ -10,7 +10,6 @@ distributions (EC2's mean of ~35 s comes from §V-C5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -66,8 +65,6 @@ class CloudProvider:
         self,
         datacenter: str,
         grace_tau_s: float = 600.0,
-        on_running: Callable[[VirtualMachine], None] | None = None,
-        on_terminated: Callable[[VirtualMachine], None] | None = None,
     ) -> VirtualMachine:
         """Start a VM in ``datacenter``; returns the PENDING handle."""
         self.api_calls += 1
@@ -82,8 +79,6 @@ class CloudProvider:
             flavor=dc.flavor,
             launch_latency_s=self.launch_latency.sample(self._rng),
             grace_tau_s=grace_tau_s,
-            on_running=on_running,
-            on_terminated=on_terminated,
         )
         dc.register_vm(vm)
         self._vms[vm.vm_id] = vm

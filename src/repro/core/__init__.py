@@ -21,8 +21,6 @@ Subpackages and modules:
 """
 
 from repro.core.controller import Controller
-from repro.core.dataplane import LiveDeployment, build_data_plane
-from repro.core.orchestrator import Orchestration, Orchestrator
 from repro.core.deployment import DeploymentPlan, DeploymentProblem, SessionDemand
 from repro.core.forwarding import ForwardingTable, ForwardingUpdateModel
 from repro.core.scaling import ScalingConfig, ScalingEngine
@@ -60,8 +58,4 @@ __all__ = [
     "Controller",
     "ScalingEngine",
     "ScalingConfig",
-    "build_data_plane",
-    "LiveDeployment",
-    "Orchestrator",
-    "Orchestration",
 ]

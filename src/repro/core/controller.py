@@ -31,7 +31,6 @@ from repro.core.session import MulticastSession
 from repro.core.signals import (
     NcForwardTab,
     NcHeartbeat,
-    NcSettings,
     NcStart,
     NcVnfEnd,
     NcVnfStart,
@@ -135,23 +134,20 @@ class Controller:
         datacenters: list,
         scheduler: EventScheduler,
         alpha: float = 20.0,
-        bus: SignalBus | None = None,
         providers: dict | None = None,
         grace_tau_s: float = 600.0,
         source_outbound_mbps: float = 1000.0,
         receiver_inbound_mbps: float = 1000.0,
-        endpoint_caps: dict | None = None,
     ):
         self.graph = graph
         self.datacenters: dict[str, DataCenterSpec] = {dc.name: dc for dc in datacenters}
         self.scheduler = scheduler
         self.alpha = alpha
-        self.bus = bus if bus is not None else SignalBus(scheduler)
+        self.bus = SignalBus(scheduler)
         self.providers = dict(providers or {})  # dc name -> CloudProvider
         self.grace_tau_s = grace_tau_s
         self.source_outbound_mbps = source_outbound_mbps
         self.receiver_inbound_mbps = receiver_inbound_mbps
-        self.endpoint_caps = dict(endpoint_caps or {})
 
         self.sessions: dict[int, MulticastSession] = {}
         self.lambdas: dict[int, float] = {}
@@ -199,7 +195,6 @@ class Controller:
             alpha=self.alpha if alpha is None else alpha,
             source_outbound_mbps=self.source_outbound_mbps,
             receiver_inbound_mbps=self.receiver_inbound_mbps,
-            endpoint_caps=self.endpoint_caps,
         )
 
     def _plan_of(self, session_ids) -> list:
@@ -264,7 +259,7 @@ class Controller:
         self.bus.send(NcStart(target=session.source, session_id=session.session_id))
         return plan
 
-    def remove_session(self, session_id: int, reconcile: bool = True) -> dict:
+    def remove_session(self, session_id: int) -> dict:
         """SESSION QUIT: compare growing flows (g1) vs shrinking fleet (g2).
 
         When the departing session's routed footprint is disjoint from
@@ -280,15 +275,15 @@ class Controller:
         self.lambdas.pop(session_id, None)
         self.decompositions.pop(session_id, None)
         self._demand_footprints.pop(session_id, None)
-        return self._rebalance_after_departure(reconcile, freed=freed)
+        return self._rebalance_after_departure(freed=freed)
 
-    def add_receiver(self, session_id: int, receiver: str, reconcile: bool = True) -> DeploymentPlan:
+    def add_receiver(self, session_id: int, receiver: str) -> DeploymentPlan:
         """RECEIVER JOIN: re-route the affected session only."""
         session = self._session(session_id)
         session.add_receiver(receiver)
-        return self._resolve_sessions([session_id], reconcile)
+        return self._resolve_sessions([session_id])
 
-    def remove_receiver(self, session_id: int, receiver: str, reconcile: bool = True) -> dict:
+    def remove_receiver(self, session_id: int, receiver: str) -> dict:
         """RECEIVER QUIT: like session quit, scoped to one session.
 
         The departure rebalance (Alg. 3) already re-solves every
@@ -299,7 +294,7 @@ class Controller:
         """
         session = self._session(session_id)
         session.remove_receiver(receiver)
-        return self._rebalance_after_departure(reconcile)
+        return self._rebalance_after_departure()
 
     def _session(self, session_id: int) -> MulticastSession:
         try:
@@ -334,7 +329,7 @@ class Controller:
             self.reconcile_fleet()
         return plan
 
-    def _rebalance_after_departure(self, reconcile: bool = True, freed: frozenset | None = None) -> dict:
+    def _rebalance_after_departure(self, freed: frozenset | None = None) -> dict:
         """Alg. 3 SESSION/RECEIVER QUIT: pick max(g1 grow-flows, g2 shrink-fleet).
 
         With ``freed`` given (a session quit's routed footprint), the
@@ -346,8 +341,7 @@ class Controller:
         if freed is not None and not any(
             freed & self._demand_footprints.get(sid, frozenset()) for sid in remaining
         ):
-            if reconcile:
-                self.reconcile_fleet()
+            self.reconcile_fleet()
             return {"g1": 0.0, "g2": 0.0, "chosen": "g1", "rebalanced": False}
         current_counts = self.current_vnf_counts()
         g1_plan = g2_plan = None
@@ -378,8 +372,7 @@ class Controller:
         chosen = g1_plan if g1 >= g2 else g2_plan
         if chosen is not None:
             self._store(chosen)
-        if reconcile:
-            self.reconcile_fleet()
+        self.reconcile_fleet()
         return {"g1": g1, "g2": g2, "chosen": "g1" if g1 >= g2 else "g2", "rebalanced": True}
 
     def _objective_of(self, plan: DeploymentPlan | None) -> float:
@@ -545,21 +538,6 @@ class Controller:
             )
         return len(tables)
 
-    def push_settings(self, session: MulticastSession, node_roles: dict, udp_port: int = 52017) -> None:
-        """Send NC_SETTINGS describing one session to the given nodes."""
-        for node, role in node_roles.items():
-            self.bus.send(
-                NcSettings(
-                    target=node,
-                    session_ids=(session.session_id,),
-                    roles=((session.session_id, role.value),),
-                    udp_port=udp_port,
-                    generation_bytes=session.coding.generation_bytes,
-                    block_bytes=session.coding.block_bytes,
-                    epoch=self.config_epoch,
-                )
-            )
-
     # -- measurement ingestion (graph updates) ------------------------------------------
 
     def observe_link(self, edge: tuple, bandwidth_mbps: float | None = None, delay_ms: float | None = None) -> None:
@@ -583,15 +561,13 @@ class Controller:
 
     # -- failure detection & recovery (heartbeat loop) -----------------------------------
 
-    def enable_failure_detection(
-        self, heartbeat_interval_s: float = 1.0, miss_threshold: int = 3
-    ) -> HeartbeatMonitor:
+    def enable_failure_detection(self, heartbeat_interval_s: float = 1.0) -> HeartbeatMonitor:
         """Start the heartbeat-based failure detector.
 
         Registers the controller itself on the signal bus (address
         ``"controller"``) so daemons' NC_HEARTBEAT beacons reach it, and
         starts a :class:`HeartbeatMonitor` that declares any watched VNF
-        dead after ``miss_threshold`` silent intervals.  Opt-in: plain
+        dead after three silent intervals.  Opt-in: plain
         planning-mode controllers never touch the bus registry.
         """
         if self.monitor is not None:
@@ -599,7 +575,6 @@ class Controller:
         self.monitor = HeartbeatMonitor(
             self.scheduler,
             interval_s=heartbeat_interval_s,
-            miss_threshold=miss_threshold,
             on_dead=self._handle_vnf_failure,
         )
         if not self.bus.is_registered("controller"):

@@ -37,6 +37,10 @@ from repro.net.topology import LinkSpec, Topology
 from repro.util.rng import KeyPart, derive_rng
 
 CONTROL_LINK_MBPS = 5.0
+#: Every data link's drop-tail queue, and the jitter of a plan
+#: instantiated by :func:`build_data_plane`.
+QUEUE_BYTES = 48 * 1024
+JITTER_S = 0.003
 NC_UDP_PORT = 52017
 
 #: The one rate threshold of the lowering: a link carrying less than
@@ -400,11 +404,7 @@ def build_data_plane(
     plan: DeploymentPlan,
     graph: nx.DiGraph,
     sessions: list[MulticastSession],
-    payload_mode: str = "coefficients-only",
     rate_fraction: float = 1.0,
-    queue_bytes: int = 48 * 1024,
-    jitter_s: float = 0.003,
-    vnf_coding_mbps: float = 900.0,
     seed: int = 1,
     scheduler: EventScheduler | None = None,
     configure: bool = True,
@@ -439,10 +439,10 @@ def build_data_plane(
     for (u, v) in sorted(used_edges):
         data = graph.edges[u, v]
         topo.add_link(
-            LinkSpec(u, v, data["capacity_mbps"], data["delay_ms"], queue_bytes=queue_bytes, jitter_s=jitter_s)
+            LinkSpec(u, v, data["capacity_mbps"], data["delay_ms"], queue_bytes=QUEUE_BYTES, jitter_s=JITTER_S)
         )
         if (v, u) not in used_edges:
-            topo.add_link(LinkSpec(v, u, CONTROL_LINK_MBPS, data["delay_ms"], queue_bytes=queue_bytes))
+            topo.add_link(LinkSpec(v, u, CONTROL_LINK_MBPS, data["delay_ms"], queue_bytes=QUEUE_BYTES))
 
     live = LiveDeployment(topology=topo)
     datacenters = sorted(name for name, count in plan.vnf_counts.items() if count > 0)
@@ -460,8 +460,6 @@ def build_data_plane(
             stream=("core.dataplane",),
             seed=seed,
             source_key=sid,
-            payload_mode=payload_mode,
-            coding_mbps=vnf_coding_mbps,
             instances=plan.vnf_counts,
             configure=configure,
         )

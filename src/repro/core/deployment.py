@@ -135,8 +135,7 @@ class DeploymentProblem:
     alpha:
         The throughput-vs-cost conversion factor (Mbps per VNF).
     source_outbound_mbps / receiver_inbound_mbps:
-        Caps for constraint (2d') and (2c'); per-node overrides win over
-        the defaults.
+        Caps for constraint (2d') and (2c').
     max_vnfs_per_dc:
         Upper bound on each x_v (a quota; generous by default).
     """
@@ -148,7 +147,6 @@ class DeploymentProblem:
         alpha: float = 20.0,
         source_outbound_mbps: float = 1000.0,
         receiver_inbound_mbps: float = 1000.0,
-        endpoint_caps: dict[str, float] | None = None,
         max_vnfs_per_dc: int = 64,
     ) -> None:
         if alpha < 0:
@@ -165,7 +163,6 @@ class DeploymentProblem:
         self.alpha = alpha
         self.source_outbound_mbps = source_outbound_mbps
         self.receiver_inbound_mbps = receiver_inbound_mbps
-        self.endpoint_caps = dict(endpoint_caps or {})
         self.max_vnfs_per_dc = max_vnfs_per_dc
 
     # -- demand construction ------------------------------------------------
@@ -302,12 +299,10 @@ class DeploymentProblem:
             for receiver in session.receivers:
                 rvars = [var for (s, edge), var in link_vars.items() if s == sid and edge[1] == receiver]
                 if rvars:
-                    cap = self.endpoint_caps.get(receiver, self.receiver_inbound_mbps)
-                    lp.add_constraint(self._sum(rvars) <= cap, name=f"2c'[{sid},{receiver}]")
+                    lp.add_constraint(self._sum(rvars) <= self.receiver_inbound_mbps, name=f"2c'[{sid},{receiver}]")
             svars = [var for (s, edge), var in link_vars.items() if s == sid and edge[0] == session.source]
             if svars:
-                cap = self.endpoint_caps.get(session.source, self.source_outbound_mbps)
-                lp.add_constraint(self._sum(svars) <= cap, name=f"2d'[{sid}]")
+                lp.add_constraint(self._sum(svars) <= self.source_outbound_mbps, name=f"2d'[{sid}]")
 
         # Objective: Σ λ_m − α Σ extra_v, where extra_v = max(0, x_v − baseline_v)
         # is modelled by charging only the part of x above the baseline.

@@ -99,7 +99,6 @@ def plan_recovery(
     dead: Iterable[str],
     relay_nodes: Iterable[str],
     relay_capacity_mbps: float = 900.0,
-    alpha: float = 1.0,
     wire_fraction: float = DEFAULT_WIRE_FRACTION,
     goodput_fraction: float = DEFAULT_GOODPUT_FRACTION,
 ) -> RecoveryPlan:
@@ -123,7 +122,7 @@ def plan_recovery(
         DataCenterSpec(name, relay_capacity_mbps, relay_capacity_mbps, relay_capacity_mbps)
         for name in survivors
     ]
-    problem = DeploymentProblem(view, specs, alpha=alpha)
+    problem = DeploymentProblem(view, specs, alpha=1.0)
     demand = problem.build_demand(session)
     if not demand.has_feasible_paths():
         return infeasible

@@ -40,6 +40,10 @@ from repro.core.signals import (
 from repro.core.vnf import CodingVnf
 from repro.net.events import EventScheduler
 
+#: Offered rate as a share of the LP's λ: head-room for the pipeline's
+#: startup transient.
+RATE_FRACTION = 0.95
+
 
 class _Startable(Protocol):
     """The slice of a source application NC_START needs: ``start()``."""
@@ -80,17 +84,15 @@ class Orchestrator:
         graph: nx.DiGraph,
         datacenters: list[DataCenterSpec],
         alpha: float = 1.0,
-        payload_mode: str = "coefficients-only",
         seed: int = 1,
     ) -> None:
         self.graph = graph
         self.datacenters = list(datacenters)
         self.alpha = alpha
-        self.payload_mode = payload_mode
         self.control_latency_s = 0.02
         self.seed = seed
 
-    def deploy(self, sessions: list[MulticastSession], rate_fraction: float = 0.95) -> Orchestration:
+    def deploy(self, sessions: list[MulticastSession]) -> Orchestration:
         """Solve, build, configure-by-signal, and start the sessions."""
         scheduler = EventScheduler()
         bus = SignalBus(scheduler, latency_s=self.control_latency_s)
@@ -103,8 +105,7 @@ class Orchestrator:
             plan,
             self.graph,
             sessions,
-            payload_mode=self.payload_mode,
-            rate_fraction=rate_fraction,
+            rate_fraction=RATE_FRACTION,
             seed=self.seed,
             scheduler=scheduler,
             configure=False,

@@ -61,8 +61,8 @@ class _RelayState:
 
     def __init__(self, recoder: Recoder) -> None:
         self.recoder = recoder
-        #: shaped next hop -> [arrivals, emitted]
-        self.hop_progress: dict[str, list[int]] = {}
+        #: shaped next hop -> arrivals so far
+        self.hop_progress: dict[str, int] = {}
 
 
 class CodingVnf(Node):
@@ -101,8 +101,8 @@ class CodingVnf(Node):
         # the first recode already mixes both incoming branches, and the
         # emission cap matches the conceptual-flow allocation instead of
         # flooding the link.
-        # session -> hop -> (skip, emit-cap)
-        self._hop_shapes: dict[int, dict[str, tuple[int, int | None]]] = {}
+        # session -> hop -> skip_arrivals
+        self._hop_shapes: dict[int, dict[str, int]] = {}
         self._payload_bytes: dict[int, int] = {}    # session -> last seen wire payload size
         self.forwarding_table = ForwardingTable()
         self.buffers: dict[int, GenerationBuffer] = {}
@@ -179,35 +179,32 @@ class CodingVnf(Node):
             self.retunes_applied += 1
         return self.configs[session_id]
 
-    def set_hop_shape(
-        self, session_id: int, next_hop: str, skip_arrivals: int, emit_per_generation: int | None = None
-    ) -> None:
+    def set_hop_shape(self, session_id: int, next_hop: str, skip_arrivals: int) -> None:
         """Shape a recoder's output toward one next hop.
 
         Per generation: ignore the first ``skip_arrivals`` packets, then
-        emit one fresh recode per arrival (up to ``emit_per_generation``
-        when given; unlimited otherwise).  A merge point whose inflow is
+        emit one fresh recode per arrival.  A merge point whose inflow is
         n packets per generation but whose out-link is allocated n − s of
         them uses ``skip_arrivals = s``: the skipped head guarantees
         every emitted recode mixes both incoming branches, and the
-        steady-state emission count follows from the arrivals.  Leaving
-        the cap off lets late extra arrivals — end-to-end repair packets
-        — flow through instead of being silently absorbed.
+        steady-state emission count follows from the arrivals.  There is
+        no cap, so late extra arrivals — end-to-end repair packets —
+        flow through instead of being silently absorbed.
 
-        ``skip_arrivals=0`` with no cap *clears* the shape: the hop
+        ``skip_arrivals=0`` *clears* the shape: the hop
         returns to default verbatim-first pipelining.  Re-optimization
         after a failure relies on this — a stale merge shape left on a
         hop whose merge is gone would silently starve the surviving
         branch of degrees of freedom.
         """
-        if skip_arrivals < 0 or (emit_per_generation is not None and emit_per_generation < 0):
-            raise ValueError("shape parameters cannot be negative")
-        if skip_arrivals == 0 and emit_per_generation is None:
+        if skip_arrivals < 0:
+            raise ValueError("skip_arrivals cannot be negative")
+        if skip_arrivals == 0:
             self._hop_shapes.get(session_id, {}).pop(next_hop, None)
             for relay in self._relays.get(session_id, {}).values():
                 relay.hop_progress.pop(next_hop, None)
             return
-        self._hop_shapes.setdefault(session_id, {})[next_hop] = (skip_arrivals, emit_per_generation)
+        self._hop_shapes.setdefault(session_id, {})[next_hop] = skip_arrivals
 
     def emit_repair(self, session_id: int, generation_id: int, count: int) -> int:
         """Emit up to ``count`` fresh recodes of a buffered generation.
@@ -388,20 +385,15 @@ class CodingVnf(Node):
         plan: list[tuple[str, bool]] = []  # (emitting hop, send a fresh recode?)
         recodes = 0
         for hop in self.forwarding_table.next_hops(session_id):
-            shape = shapes.get(hop)
-            if shape is None:
+            skip = shapes.get(hop)
+            if skip is None:
                 # Default pipelining: one packet out per packet in; the
                 # very first packet of a generation is forwarded verbatim.
                 plan.append((hop, not first))
                 recodes += not first
                 continue
-            skip, emit_cap = shape
-            progress = relay.hop_progress.get(hop)
-            if progress is None:
-                progress = relay.hop_progress[hop] = [0, 0]
-            progress[0] += 1
-            if progress[0] > skip and (emit_cap is None or progress[1] < emit_cap):
-                progress[1] += 1
+            arrivals = relay.hop_progress[hop] = relay.hop_progress.get(hop, 0) + 1
+            if arrivals > skip:
                 plan.append((hop, True))
                 recodes += 1
         # One draw and one product cover every hop that emits a recode.

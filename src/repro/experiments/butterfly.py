@@ -50,6 +50,7 @@ from repro.apps.file_transfer import (
 )
 from repro.baselines.tcp import TcpAimdSimulator
 from repro.core.dataplane import (
+    QUEUE_BYTES,
     Arq,
     LiveDeployment,
     RelayWiring,
@@ -136,7 +137,6 @@ DEFAULT_JITTER_S = 0.003  # Internet-realistic per-packet delay variation
 def build_butterfly(
     loss_on_bottleneck: LossModel | None = None,
     include_direct_links: bool = False,
-    queue_bytes: int = 48 * 1024,
     jitter_s: float = DEFAULT_JITTER_S,
     seed: int = 1,
 ) -> Topology:
@@ -147,15 +147,15 @@ def build_butterfly(
     for edge, cap in BUTTERFLY_LINKS_MBPS.items():
         loss = loss_on_bottleneck if edge == BOTTLENECK_LINK else None
         topo.add_link(
-            LinkSpec(*edge, cap, BUTTERFLY_DELAYS_MS[edge], loss=loss, queue_bytes=queue_bytes, jitter_s=jitter_s)
+            LinkSpec(*edge, cap, BUTTERFLY_DELAYS_MS[edge], loss=loss, queue_bytes=QUEUE_BYTES, jitter_s=jitter_s)
         )
     if include_direct_links:
         for (u, v), (cap, delay) in DIRECT_LINKS.items():
-            topo.add_link(LinkSpec(u, v, cap, delay, queue_bytes=queue_bytes))
-            topo.add_link(LinkSpec(v, u, cap, delay, queue_bytes=queue_bytes))
+            topo.add_link(LinkSpec(u, v, cap, delay, queue_bytes=QUEUE_BYTES))
+            topo.add_link(LinkSpec(v, u, cap, delay, queue_bytes=QUEUE_BYTES))
     # Clean reverse control links (5 Mbps) for ACK/NACK traffic.
     for (u, v) in BUTTERFLY_LINKS_MBPS:
-        topo.add_link(LinkSpec(v, u, 5.0, BUTTERFLY_DELAYS_MS[(u, v)], queue_bytes=queue_bytes))
+        topo.add_link(LinkSpec(v, u, 5.0, BUTTERFLY_DELAYS_MS[(u, v)], queue_bytes=QUEUE_BYTES))
     return topo
 
 
@@ -288,11 +288,8 @@ def run_butterfly_nc(
 
 def run_butterfly_non_nc(
     duration_s: float = 3.0,
-    rate_mbps: float | None = None,
     mode: str = "striped",
-    blocks_per_generation: int = 4,
     loss_on_bottleneck: LossModel | None = None,
-    payload_mode: str = "coefficients-only",
     warmup_s: float = 0.5,
     seed: int = 7,
     window_s: float = 0.25,
@@ -301,15 +298,15 @@ def run_butterfly_non_nc(
     """Routing-only run.
 
     ``mode="striped"``: generations striped over the tree-packing
-    solution (strong baseline; default rate = the packing optimum).
+    solution (strong baseline; offered rate = the packing optimum).
     ``mode="flooding"``: NC forwarding tables with FORWARDER relays
-    (the paper's literal Non-NC; default rate = the duplication-limited
+    (the paper's literal Non-NC; offered rate = the duplication-limited
     sustainable rate, LINK_MBPS).
     """
     if mode not in ("striped", "flooding"):
         raise ValueError("mode must be 'striped' or 'flooding'")
     topo = build_butterfly(loss_on_bottleneck=loss_on_bottleneck, seed=seed)
-    session = _make_session(blocks_per_generation, 1024, RedundancyPolicy(0))
+    session = _make_session(4, 1024, RedundancyPolicy(0))
 
     if mode == "striped":
         # A different data plane (TreeForwarder / StripedSourceApp), wired here.
@@ -324,11 +321,10 @@ def run_butterfly_non_nc(
                     tree_hops[name][i] = hops
         for name in RELAYS:
             topo.replace_node(TreeForwarder(name, topo.scheduler, tree_hops[name]))
-        if rate_mbps is None:
-            rate_mbps = 0.98 * sum(rate for _, rate in trees)  # just inside the optimum
+        rate_mbps = 0.98 * sum(rate for _, rate in trees)  # just inside the optimum
         receivers = {}
         for name in RECEIVERS:
-            app = NcReceiverApp(topo.get(name), session, payload_mode=payload_mode)
+            app = NcReceiverApp(topo.get(name), session, payload_mode="coefficients-only")
             StripedReceiverAdapter(app)
             receivers[name] = app
         source = StripedSourceApp(
@@ -337,20 +333,18 @@ def run_butterfly_non_nc(
             trees=trees,
             tree_first_hops=first_hops,
             data_rate_mbps=rate_mbps,
-            payload_mode=payload_mode,
+            payload_mode="coefficients-only",
             rng=derive_rng(*STREAM, "source", SOURCE, seed=seed),
         )
     else:
         # Flooding: the NC topology with coding switched off.
-        if rate_mbps is None:
-            rate_mbps = LINK_MBPS  # T->V2 must carry every block once
         live = bring_up(
             LiveDeployment(topo),
             session,
-            butterfly_wiring(session, rate_mbps, SOURCE_SHARES, role=VnfRole.FORWARDER),
+            # T->V2 must carry every block once: LINK_MBPS is the sustainable rate.
+            butterfly_wiring(session, LINK_MBPS, SOURCE_SHARES, role=VnfRole.FORWARDER),
             stream=STREAM,
             seed=seed,
-            payload_mode=payload_mode,
             coding_mbps=VNF_CODING_MBPS,
             arq=Arq(window_generations) if window_generations is not None else None,
             coded=False,
@@ -359,12 +353,12 @@ def run_butterfly_non_nc(
     return _run(topo, source, receivers, warmup_s, duration_s, window_s)
 
 
-def run_direct_tcp(duration_s: float = 40.0, loss_rate: float = DIRECT_LOSS_RATE, seed: int = 7) -> dict:
+def run_direct_tcp(duration_s: float = 40.0, seed: int = 7) -> dict:
     """Direct TCP baseline: per-receiver AIMD mean throughput (Mbps)."""
     out = {}
     for (src, dst), (cap, delay_ms) in DIRECT_LINKS.items():
         rtt = 2 * delay_ms / 1e3
-        sim = TcpAimdSimulator(capacity_mbps=cap, rtt_s=rtt, loss_rate=loss_rate)
+        sim = TcpAimdSimulator(capacity_mbps=cap, rtt_s=rtt, loss_rate=DIRECT_LOSS_RATE)
         out[dst] = sim.run(duration_s, derive_rng(*STREAM, "tcp", dst, seed=seed))["mean_mbps"]
     out["session"] = min(v for k, v in out.items() if k != "session")
     return out
@@ -386,7 +380,7 @@ def _run(topo, source, receivers, warmup_s, duration_s, window_s) -> ButterflyRe
 # -- Tab. II --------------------------------------------------------------------
 
 
-def measure_delays(payload_mode: str = "coefficients-only", seed: int = 11) -> dict:
+def measure_delays(seed: int = 11) -> dict:
     """Tab. II: unloaded RTTs of direct and relayed paths, ± coding.
 
     Direct rows use ping-equivalent analytic RTTs; relayed rows send one
@@ -402,13 +396,13 @@ def measure_delays(payload_mode: str = "coefficients-only", seed: int = 11) -> d
     relay_paths = {"O2": ["V1", "O1", "T", "V2", "O2"], "C2": ["V1", "C1", "T", "V2", "C2"]}
     for coding in (True, False):
         for receiver, relay_path in relay_paths.items():
-            rtt = _relayed_generation_rtt(relay_path, coding, payload_mode, seed)
+            rtt = _relayed_generation_rtt(relay_path, coding, seed)
             label = "w_coding" if coding else "wo_coding"
             out[f"relayed:{receiver}:{label}"] = rtt * 1e3
     return out
 
 
-def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: int) -> float:
+def _relayed_generation_rtt(path: list, coding: bool, seed: int) -> float:
     """Send one generation along a relay chain; time until the ACK returns."""
     topo = build_butterfly(seed=seed)
     session = _make_session(4, 1024, RedundancyPolicy(0))
@@ -419,7 +413,6 @@ def _relayed_generation_rtt(path: list, coding: bool, payload_mode: str, seed: i
         chain_wiring(session, path, role, 5.0, {path[1]: 5.0}),  # a single unloaded generation
         stream=STREAM,
         seed=seed,
-        payload_mode=payload_mode,
         coding_mbps=VNF_CODING_MBPS,
         arq=Arq(ack_immediately=True),
         total_generations=1,

@@ -42,6 +42,13 @@ DATA_LINKS = tuple(link_key(u, v) for u, v in BUTTERFLY_LINKS)
 DAEMONS = tuple(RELAYS)
 SIGNAL_KINDS = ("NcHeartbeat", "NcForwardTab")
 
+#: One run: the offered rate, the window faults land in, and the fault
+#: budget (every outage short enough for the deadline to survive it).
+RATE_MBPS = 30.0
+FAULT_WINDOW_S = 2.0
+MAX_FAULTS = 4
+MAX_OUTAGE_S = 0.5
+
 
 @dataclass(frozen=True)
 class ChaosRecord(SoakRecord):
@@ -65,13 +72,7 @@ class ChaosRecord(SoakRecord):
 def run_chaos_session(
     seed: int,
     total_generations: int = 48,
-    rate_mbps: float = 30.0,
     deadline_s: float = 6.0,
-    fault_window_s: float = 2.0,
-    max_faults: int = 4,
-    max_outage_s: float = 0.5,
-    blocks_per_generation: int = 4,
-    relay_repair: bool = True,
     plan: FaultPlan | None = None,
     impairments: bool = False,
 ) -> ChaosRecord:
@@ -84,21 +85,20 @@ def run_chaos_session(
     if plan is None:
         plan = FaultPlan.random(
             seed,
-            duration_s=fault_window_s,
+            duration_s=FAULT_WINDOW_S,
             links=DATA_LINKS,
             daemons=DAEMONS,
             signal_kinds=SIGNAL_KINDS,
-            max_faults=max_faults,
-            max_outage_s=max_outage_s,
+            max_faults=MAX_FAULTS,
+            max_outage_s=MAX_OUTAGE_S,
             impairments=impairments,
         )
     result = run_butterfly_failover(
-        fail_at_s=fault_window_s / 2,  # metadata only; the plan drives injection
+        fail_at_s=FAULT_WINDOW_S / 2,  # metadata only; the plan drives injection
         duration_s=deadline_s,
-        rate_mbps=rate_mbps,
-        blocks_per_generation=blocks_per_generation,
+        rate_mbps=RATE_MBPS,
         plan=plan,
-        relay_repair=relay_repair,
+        relay_repair=True,
         total_generations=total_generations,
         seed=seed,
     )

@@ -96,13 +96,13 @@ def generate_sessions(
     return sessions
 
 
-def build_six_dc_graph(
-    session_specs: list,
-    rng: np.random.Generator,
-    interdc_mbps_range: tuple = (50.0, 150.0),
-    uplink_mbps_range: tuple = (40.0, 120.0),
-    direct_mbps_range: tuple = (10.0, 40.0),
-) -> nx.DiGraph:
+# Link capacities (Mbps) are drawn uniformly from these ranges.
+INTERDC_MBPS_RANGE = (50.0, 150.0)
+UPLINK_MBPS_RANGE = (40.0, 120.0)
+DIRECT_MBPS_RANGE = (10.0, 40.0)
+
+
+def build_six_dc_graph(session_specs: list, rng: np.random.Generator) -> nx.DiGraph:
     """The controller's network view for a set of sessions.
 
     Nodes: six data centers (full mesh), plus one node per endpoint with
@@ -114,17 +114,17 @@ def build_six_dc_graph(
     for a in SIX_DATACENTERS:
         for b in SIX_DATACENTERS:
             if a != b:
-                cap = float(rng.uniform(*interdc_mbps_range))
+                cap = float(rng.uniform(*INTERDC_MBPS_RANGE))
                 g.add_edge(a, b, capacity_mbps=cap, delay_ms=region_delay_ms(a, b))
     for source, receivers, _ in session_specs:
-        _attach_endpoint(g, source, rng, uplink_mbps_range, outbound=True)
+        _attach_endpoint(g, source, rng, outbound=True)
         for receiver in receivers:
-            _attach_endpoint(g, receiver, rng, uplink_mbps_range, outbound=False)
+            _attach_endpoint(g, receiver, rng, outbound=False)
             if not g.has_edge(source.name, receiver.name):
                 g.add_edge(
                     source.name,
                     receiver.name,
-                    capacity_mbps=float(rng.uniform(*direct_mbps_range)),
+                    capacity_mbps=float(rng.uniform(*DIRECT_MBPS_RANGE)),
                     delay_ms=region_delay_ms(source.region, receiver.region) + 2 * ENDPOINT_ACCESS_DELAY_MS,
                 )
     return g
@@ -133,7 +133,7 @@ def build_six_dc_graph(
 ACCESS_DCS_PER_ENDPOINT = 3
 
 
-def _attach_endpoint(g: nx.DiGraph, endpoint: Endpoint, rng, mbps_range: tuple, outbound: bool) -> None:
+def _attach_endpoint(g: nx.DiGraph, endpoint: Endpoint, rng, outbound: bool) -> None:
     """Connect an endpoint to its nearest data centers.
 
     Only the :data:`ACCESS_DCS_PER_ENDPOINT` closest regions get access
@@ -146,7 +146,7 @@ def _attach_endpoint(g: nx.DiGraph, endpoint: Endpoint, rng, mbps_range: tuple, 
     g.add_node(endpoint.name)
     nearest = sorted(SIX_DATACENTERS, key=lambda dc: region_delay_ms(endpoint.region, dc))
     for dc in nearest[:ACCESS_DCS_PER_ENDPOINT]:
-        cap = float(rng.uniform(*mbps_range))
+        cap = float(rng.uniform(*UPLINK_MBPS_RANGE))
         delay = region_delay_ms(endpoint.region, dc) + ENDPOINT_ACCESS_DELAY_MS
         if outbound:
             g.add_edge(endpoint.name, dc, capacity_mbps=cap, delay_ms=delay)
@@ -154,18 +154,14 @@ def _attach_endpoint(g: nx.DiGraph, endpoint: Endpoint, rng, mbps_range: tuple, 
             g.add_edge(dc, endpoint.name, capacity_mbps=cap, delay_ms=delay)
 
 
-def datacenter_specs(
-    inbound_mbps: float = 250.0,
-    outbound_mbps: float = 250.0,
-    coding_mbps: float = 200.0,
-) -> list:
+def datacenter_specs() -> list:
     """Per-VNF caps sized so VNF capacity is the scarce resource.
 
     The paper runs 10–24 VNFs for 3–6 sessions (Fig. 10/13): per-VNF
     capacity must be comparable to a session's rate, so scaling decisions
     (and the α trade-off) operate at the granularity the figures show.
     """
-    return [DataCenterSpec(name, inbound_mbps, outbound_mbps, coding_mbps) for name in SIX_DATACENTERS]
+    return [DataCenterSpec(name, 250.0, 250.0, 200.0) for name in SIX_DATACENTERS]
 
 
 def make_controller(
@@ -175,7 +171,6 @@ def make_controller(
     grace_tau_s: float = 600.0,
     with_providers: bool = True,
     seed: int = 3,
-    specs: list | None = None,
 ) -> Controller:
     """A controller over the six-DC world, with simulated cloud providers."""
     scheduler = scheduler if scheduler is not None else EventScheduler()
@@ -192,7 +187,7 @@ def make_controller(
             )
     return Controller(
         graph,
-        specs if specs is not None else datacenter_specs(),
+        datacenter_specs(),
         scheduler,
         alpha=alpha,
         providers=providers,
@@ -293,7 +288,7 @@ class DynamicScenario:
         for j, session in enumerate(sessions[:3], start=1):
             region = SIX_DATACENTERS[int(self.rng.integers(0, len(SIX_DATACENTERS)))]
             newcomer = Endpoint(name=f"late{j}", region=region)
-            _attach_endpoint(controller.graph, newcomer, self.rng, (40.0, 120.0), outbound=False)
+            _attach_endpoint(controller.graph, newcomer, self.rng, outbound=False)
             joined.append((session.session_id, newcomer.name))
             scheduler.schedule((6 + j) * 600.0, engine.on_receiver_join, session.session_id, newcomer.name)
         for j, (sid, receiver) in enumerate(joined, start=1):
@@ -345,24 +340,21 @@ class DynamicScenario:
 
 # -- Fig. 12: L^max sweep ---------------------------------------------------------
 
+SWEEP_SESSIONS = 6  # §V-C3 retains six sessions for both sweeps
 
-def lmax_sweep(
-    lmax_values_ms: list,
-    n_sessions: int = 6,
-    alpha: float = 20.0,
-    seed: int = 3,
-) -> dict:
+
+def lmax_sweep(lmax_values_ms: list, seed: int = 3) -> dict:
     """Total throughput as the delay tolerance grows (scaling disabled).
 
     The same sessions and the same graph are re-solved per L^max, as in
     §V-C3 ("retaining six sessions ... disabling the scaling algorithm").
     """
     rng = derive_rng("experiments.dynamic", "world", seed=seed)
-    specs = generate_sessions(n_sessions, rng, max_delay_ms=max(lmax_values_ms))
+    specs = generate_sessions(SWEEP_SESSIONS, rng, max_delay_ms=max(lmax_values_ms))
     graph = build_six_dc_graph(specs, rng)
     out = {"lmax_ms": [], "throughput_mbps": [], "vnfs": []}
     for lmax in lmax_values_ms:
-        controller = make_controller(graph.copy(), alpha=alpha, with_providers=False, seed=seed)
+        controller = make_controller(graph.copy(), with_providers=False, seed=seed)
         for source, receivers, _ in specs:
             session = MulticastSession(
                 source=source.name, receivers=[r.name for r in receivers], max_delay_ms=lmax
@@ -378,15 +370,10 @@ def lmax_sweep(
 # -- Fig. 13: α sweep ----------------------------------------------------------------
 
 
-def alpha_sweep(
-    alpha_values: list,
-    n_sessions: int = 6,
-    max_delay_ms: float = 150.0,
-    seed: int = 3,
-) -> dict:
+def alpha_sweep(alpha_values: list, seed: int = 3) -> dict:
     """Throughput and VNF count as the cost factor α grows."""
     rng = derive_rng("experiments.dynamic", "world", seed=seed)
-    specs = generate_sessions(n_sessions, rng, max_delay_ms=max_delay_ms)
+    specs = generate_sessions(SWEEP_SESSIONS, rng, max_delay_ms=150.0)
     graph = build_six_dc_graph(specs, rng)
     out = {"alpha": [], "throughput_mbps": [], "vnfs": []}
     for alpha in alpha_values:

@@ -332,27 +332,26 @@ class FleetFailoverResult:
     engine: object = None
 
 
-def run_fleet_failover(
-    n_sessions: int = 3,
-    fail_at_s: float = 300.0,
-    duration_s: float = 600.0,
-    heartbeat_interval_s: float = 5.0,
-    miss_threshold: int = 3,
-    seed: int = 3,
-) -> FleetFailoverResult:
+# The flow-level run: three sessions over ten sim-minutes, one VM killed
+# half-way, VM agents beating every 5 s (boot takes ~35-48 s).
+FLEET_SESSIONS = 3
+FLEET_FAIL_AT_S = 300.0
+FLEET_DURATION_S = 600.0
+FLEET_HEARTBEAT_INTERVAL_S = 5.0
+
+
+def run_fleet_failover(seed: int = 3) -> FleetFailoverResult:
     """Kill one in-use VM; measure detection and fleet-repair MTTR."""
     from repro.experiments.dynamic import generate_sessions, build_six_dc_graph, make_controller, _make_session as _mk
 
     rng = derive_rng("experiments.dynamic", "world", seed=seed)
-    specs = generate_sessions(n_sessions, rng)
+    specs = generate_sessions(FLEET_SESSIONS, rng)
     graph = build_six_dc_graph(specs, rng)
     controller: Controller = make_controller(graph, seed=seed)
     engine = ScalingEngine(controller)
-    controller.enable_failure_detection(
-        heartbeat_interval_s=heartbeat_interval_s, miss_threshold=miss_threshold
-    )
+    controller.enable_failure_detection(heartbeat_interval_s=FLEET_HEARTBEAT_INTERVAL_S)
     scheduler = controller.scheduler
-    result = FleetFailoverResult(failed_at=fail_at_s, controller=controller, engine=engine)
+    result = FleetFailoverResult(failed_at=FLEET_FAIL_AT_S, controller=controller, engine=engine)
 
     for spec in specs:
         engine.on_session_join(_mk(spec))
@@ -370,13 +369,13 @@ def run_fleet_failover(
             for vm in state.vms:
                 if vm.vm_id not in agents and vm.state.value in ("running", "stopping"):
                     agents[vm.vm_id] = VmHeartbeatAgent(
-                        controller.bus, vm, vm.vm_id, heartbeat_interval_s
+                        controller.bus, vm, vm.vm_id, FLEET_HEARTBEAT_INTERVAL_S
                     )
                     controller.watch_vnf(vm.vm_id, dc_name, vm)
 
     # Adopt the initial fleet once it exists, then rescan periodically so
     # recovery-launched replacements get heartbeats (and monitoring) too.
-    adopt_ticker = scheduler.schedule_every(heartbeat_interval_s, _adopt_vms, first_delay=0.001)
+    adopt_ticker = scheduler.schedule_every(FLEET_HEARTBEAT_INTERVAL_S, _adopt_vms, first_delay=0.001)
 
     def _fail_one() -> None:
         for dc_name, state in controller.fleet.items():
@@ -392,7 +391,7 @@ def run_fleet_failover(
             return
         raise RuntimeError("no usable VM to fail")
 
-    scheduler.schedule_at(fail_at_s, _fail_one)
+    scheduler.schedule_at(FLEET_FAIL_AT_S, _fail_one)
 
     def _check_restored() -> None:
         if result.restored_at is not None or result.failed_vm == "":
@@ -404,9 +403,9 @@ def run_fleet_failover(
         if all(running.get(name, 0) >= count for name, count in required.items()):
             result.restored_at = scheduler.now
 
-    restore_ticker = scheduler.schedule_every(1.0, _check_restored, first_delay=fail_at_s + 1.0)
+    restore_ticker = scheduler.schedule_every(1.0, _check_restored, first_delay=FLEET_FAIL_AT_S + 1.0)
 
-    scheduler.run(until=duration_s)
+    scheduler.run(until=FLEET_DURATION_S)
     adopt_ticker.cancel()
     restore_ticker.cancel()
     for agent in agents.values():
@@ -416,9 +415,9 @@ def run_fleet_failover(
     detected = next((f["time"] for f in controller.failures if f["vnf"] == result.failed_vm), None)
     if detected is not None:
         result.detected_at = detected
-        result.detection_latency_s = detected - fail_at_s
+        result.detection_latency_s = detected - FLEET_FAIL_AT_S
     if result.restored_at is not None:
-        result.mttr_s = result.restored_at - fail_at_s
+        result.mttr_s = result.restored_at - FLEET_FAIL_AT_S
     result.vnf_failure_events = [e for e in engine.events if e.kind == "vnf_failure"]
     result.throughput_after_mbps = controller.achieved_total_throughput_mbps()
     result.quarantined = sorted(controller.disabled_datacenters)

@@ -48,6 +48,9 @@ from repro.util.rng import derive_rng
 #: Registry handle the fault injector uses for the adaptive reporter.
 REPORTER_HANDLE = "reporter"
 
+#: Static redundancy of ``mode="fixed"``: the paper's NC1.
+FIXED_EXTRA = 1
+
 
 @dataclass(frozen=True)
 class ScenarioPreset:
@@ -231,7 +234,6 @@ def run_scenario(
     loss: float = 0.0,
     duration_s: float = 12.0,
     seed: int = 1,
-    fixed_extra: int = 1,
     plan: FaultPlan | None = None,
 ) -> ScenarioResult:
     """One chain transfer under the preset's loss profile.
@@ -239,7 +241,7 @@ def run_scenario(
     ``mode="adaptive"`` runs the full feedback loop (reporter at the
     receiver, AIMD controller retuning redundancy and generation size
     over the bus); ``mode="fixed"`` pins the paper-style static
-    redundancy ``fixed_extra`` (NC1 by default).  ``plan`` lets the
+    redundancy :data:`FIXED_EXTRA` (NC1).  ``plan`` lets the
     chaos soak inject faults — chain links, relay daemons and the
     adaptive reporter (handle ``"reporter"``) are all registered.
     """
@@ -249,7 +251,7 @@ def run_scenario(
     scheduler = topo.scheduler
     bus = SignalBus(scheduler, latency_s=preset.bus_latency_s)
 
-    extra0 = 0 if mode == "adaptive" else fixed_extra
+    extra0 = 0 if mode == "adaptive" else FIXED_EXTRA
     config = CodingConfig(
         block_bytes=preset.block_bytes,
         blocks_per_generation=preset.blocks_per_generation,
@@ -378,13 +380,12 @@ def loss_sweep(
     losses: tuple[float, ...] = (0.0, 0.05, 0.15, 0.30),
     duration_s: float = 12.0,
     seed: int = 1,
-    fixed_extra: int = 1,
 ) -> list:
     """Adaptive vs fixed vs TCP goodput across the burst-loss range."""
     rows = []
     for loss in losses:
         adaptive = run_scenario(preset, "adaptive", loss, duration_s, seed)
-        fixed = run_scenario(preset, "fixed", loss, duration_s, seed, fixed_extra=fixed_extra)
+        fixed = run_scenario(preset, "fixed", loss, duration_s, seed)
         rows.append(
             {
                 "loss": loss,

@@ -42,6 +42,10 @@ DEFAULT_CITIES: tuple[str, ...] = (
     "Miami",
 )
 
+#: What a drawn session asks for: one of these rates, this many receivers.
+RATES_MBPS = (5.0, 10.0, 20.0)
+RECEIVER_RANGE = (1, 3)
+
 
 @dataclass(frozen=True)
 class SessionSpec:
@@ -95,19 +99,14 @@ class ChurnTrace:
         duration_s: float = 60.0,
         arrival_rate_per_s: float = 1.0,
         mean_holding_s: float = 30.0,
-        cities: Sequence[str] | None = None,
-        rates_mbps: Sequence[float] = (5.0, 10.0, 20.0),
-        receiver_range: tuple[int, int] = (1, 3),
         delay_choices_ms: Sequence[float] = (60.0, 100.0),
         start_id: int = 1,
     ) -> "ChurnTrace":
         """Draw a Poisson arrival / exponential holding churn trace."""
         if arrival_rate_per_s <= 0 or mean_holding_s <= 0 or duration_s <= 0:
             raise ValueError("rates, holding time and duration must be positive")
-        pool = tuple(cities) if cities is not None else DEFAULT_CITIES
-        lo, hi = receiver_range
-        if not 1 <= lo <= hi < len(pool):
-            raise ValueError("receiver_range must fit inside the city pool")
+        pool = DEFAULT_CITIES
+        lo, hi = RECEIVER_RANGE
         rng = derive_rng("fleet.churn", seed)
         events: list[ChurnEvent] = []
         clock = 0.0
@@ -122,7 +121,7 @@ class ChurnTrace:
                 session_id=sid,
                 source_city=pool[int(picks[0])],
                 receiver_cities=tuple(pool[int(i)] for i in picks[1:]),
-                rate_mbps=float(rng.choice(list(rates_mbps))),
+                rate_mbps=float(rng.choice(list(RATES_MBPS))),
                 max_delay_ms=float(rng.choice(list(delay_choices_ms))),
             )
             holding = float(rng.exponential(mean_holding_s))

@@ -574,7 +574,7 @@ class FleetManager:
                     )
         return g
 
-    def whole_fleet_resolve(self, backend: str = "highs") -> DeploymentPlan:
+    def whole_fleet_resolve(self) -> DeploymentPlan:
         """Solve problem (2) over every live session at once.
 
         This is the paper's per-event behaviour and the benchmark's
@@ -610,7 +610,7 @@ class FleetManager:
             )
             demands.append(problem.build_demand(session, max_hops=3))
         self.lp_solves += 1
-        return problem.solve(demands, backend=backend)
+        return problem.solve(demands)
 
 
 def fleet_of(

@@ -39,6 +39,10 @@ SOAK_DC_CITIES: tuple[str, ...] = (
     "Washington",
 )
 
+#: One seed's churn: Poisson arrivals, exponential holding.
+ARRIVAL_RATE_PER_S = 1.5
+MEAN_HOLDING_S = 15.0
+
 
 @dataclass(frozen=True)
 class FleetSoakRecord(SoakRecord):
@@ -78,8 +82,6 @@ def run_fleet_soak(
     *,
     n_datacenters: int = 5,
     duration_s: float = 40.0,
-    arrival_rate_per_s: float = 1.5,
-    mean_holding_s: float = 15.0,
     mode: str = INCREMENTAL,
 ) -> FleetSoakRecord:
     """Drive one seeded churn trace through a fresh fleet manager.
@@ -93,8 +95,8 @@ def run_fleet_soak(
     trace = ChurnTrace.generate(
         seed,
         duration_s=duration_s,
-        arrival_rate_per_s=arrival_rate_per_s,
-        mean_holding_s=mean_holding_s,
+        arrival_rate_per_s=ARRIVAL_RATE_PER_S,
+        mean_holding_s=MEAN_HOLDING_S,
         delay_choices_ms=(16.0, 80.0),
     )
     manager = FleetManager(soak_datacenters(n_datacenters), mode=mode)

@@ -7,7 +7,7 @@ per byte), the field size observed to maximize throughput in prior work
 (Chou et al., Airlift).  This package provides:
 
 - :class:`~repro.gf.field.GaloisField` — vectorized arithmetic over
-  GF(2^w) for w in {4, 8, 16}, built on numpy log/antilog tables so that
+  GF(2^w) for w in {4, 8}, built on numpy log/antilog tables so that
   coding whole packets is a handful of table-indexing operations instead
   of a per-byte Python loop.
 - :mod:`repro.gf.matrix` — dense linear algebra over the field
@@ -21,7 +21,6 @@ matching the paper.
 from repro.gf.field import (
     GF16,
     GF256,
-    GF65536,
     Coefficient,
     FieldArray,
     FieldLike,
@@ -44,7 +43,6 @@ __all__ = [
     "Coefficient",
     "GF16",
     "GF256",
-    "GF65536",
     "gf_matmul",
     "gf_matvec",
     "gf_rank",

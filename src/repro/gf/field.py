@@ -19,9 +19,8 @@ Two tiers of kernels live here:
 - the table-driven batch kernels (:meth:`GaloisField.mul_table`,
   :meth:`GaloisField.matmul`, :meth:`GaloisField.row_product`,
   :meth:`GaloisField.scale_into`, :meth:`GaloisField.addmul_into`) run
-  off a lazily-built full multiplication table (a 256×256 byte array for GF(2^8); uint16 fields
-  use a per-coefficient row cache instead, since a full table would be
-  8 GiB) and are what the RLNC hot path actually calls.  One
+  off a lazily-built full multiplication table (a 256×256 byte array
+  for GF(2^8)) and are what the RLNC hot path actually calls.  One
   :meth:`~GaloisField.matmul` call codes a whole redundancy burst with a
   single fancy gather plus one ``bitwise_xor.reduce`` — no per-row
   temporaries, no zero masks.
@@ -35,9 +34,8 @@ from typing import Any, Union
 import numpy as np
 import numpy.typing as npt
 
-#: An array of GF(2^w) elements.  The dtype is the owning field's
-#: (uint8 for w <= 8, uint16 for w = 16), which a static alias cannot
-#: express — hence the Any scalar type.
+#: An array of GF(2^w) elements (uint8: one byte per element, the NC
+#: header's coefficient width).
 FieldArray = npt.NDArray[Any]
 
 #: Anything accepted as field-element input: scalars, sequences, arrays.
@@ -51,7 +49,6 @@ Coefficient = Union[int, np.integer[Any]]
 _PRIMITIVE_POLY = {
     4: 0x13,      # x^4 + x + 1
     8: 0x11D,     # x^8 + x^4 + x^3 + x^2 + 1
-    16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
 }
 
 
@@ -61,7 +58,7 @@ class GaloisField:
     Parameters
     ----------
     w:
-        Field exponent; one of 4, 8 or 16.  The field has ``2**w``
+        Field exponent; 4 or 8.  The field has ``2**w``
         elements represented as Python ints / numpy integers in
         ``[0, 2**w)``.
 
@@ -75,11 +72,10 @@ class GaloisField:
         self.w = w
         self.order = 1 << w
         self.poly = _PRIMITIVE_POLY[w]
-        self.dtype = np.uint8 if w <= 8 else np.uint16
-        self._lanes = 8 if w <= 8 else 4  # random_elements(): elements per raw 64-bit word
-        self._lane_shift = 64 // self._lanes - w  # a lane wider than the field keeps its top w bits
+        self.dtype = np.uint8
+        self._lanes = 8  # random_elements(): elements per raw 64-bit word
+        self._lane_shift = 8 - w  # a lane wider than the field keeps its top w bits
         self._mul_full: FieldArray | None = None
-        self._mul_rows_cache: dict[int, FieldArray] = {}
         self._inv_ints: list[int] | None = None
         self._build_tables()
 
@@ -212,9 +208,6 @@ class GaloisField:
     # proves these produce bit-identical results over exhaustive scalar
     # pairs and random matrices.
 
-    #: Row-cache bound for uint16 fields (128 KiB per cached row).
-    _ROW_CACHE_LIMIT = 1024
-
     #: Chunk budget (elements) for the (m, k, n) gather in matmul, so a
     #: huge burst never materializes an unbounded temporary.
     _MATMUL_CHUNK_ELEMS = 1 << 26
@@ -224,12 +217,8 @@ class GaloisField:
         """The full multiplication table: ``MUL[a, b] == a * b``.
 
         Built lazily from the log/exp oracle on first use and cached on
-        the field (64 KiB for GF(2^8), 256 B for GF(2^4)).  Only defined
-        for w ≤ 8 — a GF(2^16) full table would be 8 GiB; uint16 fields
-        go through the per-coefficient row cache instead.
+        the field (64 KiB for GF(2^8), 256 B for GF(2^4)).
         """
-        if self.w > 8:
-            raise ValueError("full MUL table only exists for w <= 8; uint16 fields use the row cache")
         table = self._mul_full
         if table is None:
             a = np.arange(self.order, dtype=self.dtype)
@@ -238,42 +227,25 @@ class GaloisField:
         return table
 
     def mul_row(self, coeff: Coefficient) -> FieldArray:
-        """One row of the multiplication table: ``row[b] == coeff * b``.
-
-        For w ≤ 8 this is a view into the full table; for GF(2^16) rows
-        are built on demand and kept in a bounded FIFO cache.
-        """
+        """One row of the multiplication table (a view): ``row[b] == coeff * b``."""
         c = int(coeff)
         if not 0 <= c < self.order:
             raise ValueError(f"coefficient {c} out of range for GF(2^{self.w})")
-        if self.w <= 8:
-            return self.MUL[c]
-        row = self._mul_rows_cache.get(c)
-        if row is None:
-            row = self.mul(self.dtype(c), np.arange(self.order, dtype=self.dtype))
-            if len(self._mul_rows_cache) >= self._ROW_CACHE_LIMIT:
-                self._mul_rows_cache.pop(next(iter(self._mul_rows_cache)))
-            self._mul_rows_cache[c] = row
-        return row
+        return self.MUL[c]
 
     def mul_table(self, coeff_row: FieldLike, matrix: FieldLike) -> FieldArray:
         """Row-wise scaling: ``out[i] = coeff_row[i] * matrix[i]``.
 
-        ``coeff_row`` has shape (k,), ``matrix`` (k, n).  For w ≤ 8 this
-        is a *single* fancy gather into the full MUL table — no zero
-        masks, no per-row temporaries.
+        ``coeff_row`` has shape (k,), ``matrix`` (k, n).  A *single*
+        fancy gather into the full MUL table — no zero masks, no per-row
+        temporaries.
         """
         coeffs = np.asarray(coeff_row, dtype=self.dtype)
         matrix = np.asarray(matrix, dtype=self.dtype)
         if coeffs.ndim != 1 or matrix.ndim != 2 or coeffs.shape[0] != matrix.shape[0]:
             raise ValueError(f"shape mismatch: coeffs {coeffs.shape} vs matrix {matrix.shape}")
-        if self.w <= 8:
-            result: FieldArray = self.MUL[coeffs[:, None], matrix]
-            return result
-        out = np.empty_like(matrix)
-        for i in range(coeffs.shape[0]):
-            np.take(self.mul_row(coeffs[i]), matrix[i], out=out[i])
-        return out
+        result: FieldArray = self.MUL[coeffs[:, None], matrix]
+        return result
 
     def matmul(self, coeff_matrix: FieldLike, blocks: FieldLike) -> FieldArray:
         """Batch matrix product ``C @ B`` over the field.
@@ -295,20 +267,16 @@ class GaloisField:
         out = np.zeros((m, n), dtype=self.dtype)
         if k == 0 or n == 0 or m == 0:
             return out
-        if self.w <= 8:
-            # Flatten the 2-D table lookup into one `take`: the index of
-            # C[i,j] * B[j,l] in MUL.ravel() is C[i,j] * order + B[j,l],
-            # at most order**2 - 1, so uint16 index arithmetic is exact
-            # and the (m, k, n) index temporary is a quarter of intp's.
-            flat = self.MUL.reshape(-1)
-            c_idx = c.astype(np.uint16) * self.order
-            step = max(1, self._MATMUL_CHUNK_ELEMS // max(1, k * n))
-            for s in range(0, m, step):
-                indices = c_idx[s : s + step, :, None] + b[None, :, :]
-                np.bitwise_xor.reduce(flat.take(indices), axis=1, out=out[s : s + step])
-        else:
-            for i in range(m):
-                np.bitwise_xor.reduce(self.mul_table(c[i], b), axis=0, out=out[i])
+        # Flatten the 2-D table lookup into one `take`: the index of
+        # C[i,j] * B[j,l] in MUL.ravel() is C[i,j] * order + B[j,l],
+        # at most order**2 - 1, so uint16 index arithmetic is exact
+        # and the (m, k, n) index temporary is a quarter of intp's.
+        flat = self.MUL.reshape(-1)
+        c_idx = c.astype(np.uint16) * self.order
+        step = max(1, self._MATMUL_CHUNK_ELEMS // max(1, k * n))
+        for s in range(0, m, step):
+            indices = c_idx[s : s + step, :, None] + b[None, :, :]
+            np.bitwise_xor.reduce(flat.take(indices), axis=1, out=out[s : s + step])
         return out
 
     def row_product(self, weights: FieldArray, rows: FieldArray) -> FieldArray:
@@ -321,9 +289,6 @@ class GaloisField:
         """
         if weights.ndim != 1 or rows.ndim != 2 or weights.shape[0] != rows.shape[0]:
             raise ValueError(f"shape mismatch: {weights.shape} @ {rows.shape}")
-        if self.w > 8:
-            wide: FieldArray = np.bitwise_xor.reduce(self.mul_table(weights, rows), axis=0)
-            return wide
         indices = (weights.astype(np.uint16) * self.order)[:, None] + rows
         mixed: FieldArray = np.bitwise_xor.reduce(self.MUL.reshape(-1).take(indices), axis=0)
         return mixed
@@ -376,8 +341,8 @@ class GaloisField:
         """Uniform random field elements (zero included), read off raw words.
 
         A row of ``n`` elements is ``ceil(n / lanes)`` outputs of
-        ``bit_generator.random_raw`` viewed as the field's dtype (host
-        byte order; the top ``w`` bits of a lane for a sub-byte field),
+        ``bit_generator.random_raw`` viewed as bytes (host byte order;
+        the top ``w`` bits of a lane for a sub-byte field),
         tail lanes dropped.  Rows start on word boundaries, so a
         ``(rows, n)`` draw equals ``rows`` successive ``n``-element draws,
         and ``random_raw`` keeps no buffer, so rewinding
@@ -410,4 +375,3 @@ class GaloisField:
 
 GF16 = GaloisField(4)
 GF256 = GaloisField(8)
-GF65536 = GaloisField(16)

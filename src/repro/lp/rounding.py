@@ -18,10 +18,14 @@ import math
 from repro.lp.model import Solution, Variable
 
 
-def round_up_integers(solution: Solution, tolerance: float = 1e-6) -> dict[Variable, int]:
+#: Solver noise: a value this close to an integer *is* that integer.
+TOLERANCE = 1e-6
+
+
+def round_up_integers(solution: Solution) -> dict[Variable, int]:
     """Integer values for every integral variable in ``solution``.
 
-    Values within ``tolerance`` of an integer snap to it (so 2.0000001
+    Values within :data:`TOLERANCE` of an integer snap to it (so 2.0000001
     does not become 3); everything else is rounded up to preserve
     feasibility of capacity constraints.
     """
@@ -30,10 +34,10 @@ def round_up_integers(solution: Solution, tolerance: float = 1e-6) -> dict[Varia
         if not var.integer:
             continue
         nearest = round(value)
-        if abs(value - nearest) <= tolerance:
+        if abs(value - nearest) <= TOLERANCE:
             out[var] = int(nearest)
         else:
-            out[var] = int(math.ceil(value - tolerance))
+            out[var] = int(math.ceil(value - TOLERANCE))
     return out
 
 

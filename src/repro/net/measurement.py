@@ -30,9 +30,12 @@ from repro.net.topology import Topology
 from repro.util.rng import derive_rng
 
 PING_PORT = 7  # echo, naturally
+PING_PAYLOAD_BYTES = 1472  # fills a 1500-byte MTU with the UDP + IP headers
 
 
-def path_one_way_delay(topology: Topology, path: Sequence[str], payload_bytes: int = 1472) -> float:
+def path_one_way_delay(
+    topology: Topology, path: Sequence[str], payload_bytes: int = PING_PAYLOAD_BYTES
+) -> float:
     """Unloaded one-way delay along ``path`` (seconds).
 
     Sums propagation delay plus per-hop serialization of one packet of
@@ -48,10 +51,10 @@ def path_one_way_delay(topology: Topology, path: Sequence[str], payload_bytes: i
     return total
 
 
-def path_rtt(topology: Topology, path: Sequence[str], payload_bytes: int = 1472) -> float:
+def path_rtt(topology: Topology, path: Sequence[str]) -> float:
     """Unloaded round-trip time out along ``path`` and back (seconds)."""
     back = list(reversed(path))
-    return path_one_way_delay(topology, path, payload_bytes) + path_one_way_delay(topology, back, payload_bytes)
+    return path_one_way_delay(topology, path) + path_one_way_delay(topology, back)
 
 
 @dataclass
@@ -69,10 +72,9 @@ class Pinger:
     by using :func:`path_rtt` for unloaded figures.
     """
 
-    def __init__(self, node: Node, peer: str, payload_bytes: int = 1472) -> None:
+    def __init__(self, node: Node, peer: str) -> None:
         self.node = node
         self.peer = peer
-        self.payload_bytes = payload_bytes
         self.samples: list[RttSample] = []
         self._inflight: dict[int, float] = {}
         self._seq = 0
@@ -93,7 +95,7 @@ class Pinger:
         """Send one echo request."""
         self._seq += 1
         self._inflight[self._seq] = self.node.scheduler.now
-        self.node.send(self.peer, (self._seq, "request"), self.payload_bytes, dst_port=PING_PORT)
+        self.node.send(self.peer, (self._seq, "request"), PING_PAYLOAD_BYTES, dst_port=PING_PORT)
 
     def _on_reply(self, dgram: Datagram) -> None:
         seq, kind = dgram.payload

@@ -42,11 +42,11 @@ class NicModel:
             raise ValueError("cpu_share must be in (0, 1]")
         return cpu_share / self.cpu_seconds_per_packet()
 
-    def max_throughput_bps(self, packet_bytes: int, cpu_share: float = 1.0) -> float:
+    def max_throughput_bps(self, packet_bytes: int) -> float:
         """Bits/s ceiling for packets of the given size."""
         if packet_bytes <= 0:
             raise ValueError("packet size must be positive")
-        return self.max_packet_rate(cpu_share) * packet_bytes * 8
+        return self.max_packet_rate() * packet_bytes * 8
 
 
 @dataclass(frozen=True)

@@ -276,36 +276,17 @@ def os3e_graph(capacity_mbps: float = 10_000.0) -> nx.DiGraph:
     return g
 
 
-def os3e_latency_ms(graph: nx.DiGraph | None = None) -> dict[str, dict[str, float]]:
+def os3e_latency_ms() -> dict[str, dict[str, float]]:
     """All-pairs shortest propagation latency over the OS3E WAN.
 
     Returns ``{city: {city: delay_ms}}``; the diagonal is 0.  This is
     the latency matrix the fleet layer uses to weight its overlay edges
     (an overlay hop between two PoPs rides the shortest WAN route).
     """
-    pairs = (
-        _os3e_default_latency()
-        if graph is None
-        else nx.all_pairs_dijkstra_path_length(graph, weight="delay_ms")
-    )
-    return {src: dict(dsts) for src, dsts in pairs}  # the caller's own copy
+    return {src: dict(dsts) for src, dsts in _os3e_default_latency()}  # the caller's own copy
 
 
 @functools.lru_cache(maxsize=1)
 def _os3e_default_latency() -> tuple[tuple[str, dict[str, float]], ...]:
-    """The default graph never changes: its Dijkstra runs once per process."""
+    """The graph never changes: its Dijkstra runs once per process."""
     return tuple(nx.all_pairs_dijkstra_path_length(os3e_graph(), weight="delay_ms"))
-
-
-def os3e_topology(
-    scheduler: EventScheduler | None = None,
-    capacity_mbps: float = 10_000.0,
-    queue_bytes: int = 256 * 1024,
-) -> Topology:
-    """A live simulator :class:`Topology` of the OS3E WAN (duplex links)."""
-    topo = Topology(scheduler=scheduler if scheduler is not None else EventScheduler())
-    for city in OS3E_SITES:
-        topo.add_node(city)
-    for a, b in OS3E_SPANS:
-        topo.add_duplex(a, b, capacity_mbps, os3e_span_delay_ms(a, b), queue_bytes=queue_bytes)
-    return topo

@@ -54,11 +54,6 @@ class Encoder:
         systematic: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if field.order > 256:
-            # Header stores one byte per coefficient; larger fields would
-            # need a wider wire format.  GF(2^16) encoders are used only
-            # in ablations via coefficient packing at a higher layer.
-            raise ValueError("the NC header carries one byte per coefficient; use GF(2^8) or smaller")
         self.session_id = session_id
         self.generation = generation
         self.field = field
@@ -193,8 +188,6 @@ def encode_message(
     session_id: int,
     generations: list[Generation],
     packets_per_generation: int,
-    field: GaloisField = GF256,
-    systematic: bool = True,
     rng: np.random.Generator | None = None,
 ) -> list[CodedPacket]:
     """Encode a whole segmented message, generation by generation.
@@ -205,6 +198,6 @@ def encode_message(
     rng = rng if rng is not None else derive_rng("rlnc.encode_message", session_id)
     out: list[CodedPacket] = []
     for gen in generations:
-        enc = Encoder(session_id, gen, field=field, systematic=systematic, rng=rng)
+        enc = Encoder(session_id, gen, rng=rng)
         out.extend(enc.next_packets(packets_per_generation))
     return out

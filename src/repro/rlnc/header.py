@@ -68,18 +68,16 @@ def wire_checksum(*parts: bytes) -> int:
     return crc
 
 
-def verify_wire(data: bytes, end: int | None = None) -> bool:
-    """Check the CRC word at bytes 8..12 against the rest of ``data[:end]``.
+def verify_wire(data: bytes) -> bool:
+    """Check the CRC word at bytes 8..12 against the rest of ``data``.
 
-    The covered extent is bytes ``0..8`` plus ``12..end`` — i.e. the
-    whole image except the checksum itself.  Callers pass ``end`` when
-    the buffer extends past the packet.
+    The covered extent is bytes ``0..8`` plus ``12..`` — i.e. the whole
+    image except the checksum itself.
     """
     if len(data) < FIXED_HEADER_BYTES:
         return False
     stored = _CRC.unpack_from(data, CHECKSUM_OFFSET)[0]
-    limit = len(data) if end is None else end
-    return stored == wire_checksum(data[:CHECKSUM_OFFSET], data[FIXED_HEADER_BYTES:limit])
+    return stored == wire_checksum(data[:CHECKSUM_OFFSET], data[FIXED_HEADER_BYTES:])
 
 
 # Cached per-block-count wire structs: one pack call serializes the

@@ -118,14 +118,13 @@ class CodedPacket:
         )
 
     @classmethod
-    def decode(cls, data: bytes, verify: bool = True) -> "CodedPacket":
+    def decode(cls, data: bytes) -> "CodedPacket":
         """Parse a serialized coded packet (no intermediate payload slice).
 
         Raises :class:`~repro.rlnc.header.ChecksumError` when the CRC32
-        word does not match the image (``verify=False`` skips the check
-        for diagnostic tooling that wants the corrupt contents).
+        word does not match the image.
         """
-        if verify and not verify_wire(data):
+        if not verify_wire(data):
             raise ChecksumError("coded packet failed CRC32 verification")
         header, offset = NCHeader.decode_from(data)
         payload = np.frombuffer(data, dtype=np.uint8, offset=offset).copy()

@@ -21,6 +21,11 @@ from typing import Callable
 
 from repro.routing.paths import Path
 
+#: A path or link carrying at most this (Mbps) is unused.
+RATE_EPSILON = 1e-9
+#: Solver slack :meth:`FlowDecomposition.validate` forgives (Mbps).
+CAPACITY_EPSILON = 1e-6
+
 
 @dataclass
 class ConceptualFlow:
@@ -38,8 +43,8 @@ class ConceptualFlow:
         """Σ_{p ∋ e} f^k_m(p): this receiver's rate crossing ``edge``."""
         return sum(rate for path, rate in self.path_rates.items() if edge in path.edges)
 
-    def used_paths(self, epsilon: float = 1e-9) -> list[Path]:
-        return [p for p, r in self.path_rates.items() if r > epsilon]
+    def used_paths(self) -> list[Path]:
+        return [p for p, r in self.path_rates.items() if r > RATE_EPSILON]
 
     def add(self, path: Path, rate: float) -> None:
         if rate < 0:
@@ -78,7 +83,7 @@ class FlowDecomposition:
                 per_edge[edge] = max(per_edge[edge], rate)
         return dict(per_edge)
 
-    def coding_points(self, epsilon: float = 1e-9) -> set[str]:
+    def coding_points(self) -> set[str]:
         """Nodes where coding is actually needed.
 
         Coding happens at a node only when multiple *incoming* used links
@@ -88,21 +93,20 @@ class FlowDecomposition:
         """
         in_degree: dict[str, set[str]] = defaultdict(set)
         for edge, rate in self.link_rates().items():
-            if rate > epsilon:
+            if rate > RATE_EPSILON:
                 in_degree[edge[1]].add(edge[0])
         return {node for node, preds in in_degree.items() if len(preds) > 1}
 
     def validate(
         self,
         bandwidth_of: Callable[[tuple[str, str]], float] | None = None,
-        epsilon: float = 1e-6,
     ) -> None:
         """Sanity-check internal consistency; raises ``ValueError`` on violation."""
         for receiver, flow in self.flows.items():
             if flow.receiver != receiver:
                 raise ValueError(f"flow stored under {receiver} claims receiver {flow.receiver}")
             for path, rate in flow.path_rates.items():
-                if rate < -epsilon:
+                if rate < -CAPACITY_EPSILON:
                     raise ValueError(f"negative rate {rate} on {path}")
                 if path.nodes[0] != self.source:
                     raise ValueError(f"path {path} does not start at source {self.source}")
@@ -111,7 +115,7 @@ class FlowDecomposition:
         if bandwidth_of is not None:
             for edge, rate in self.link_rates().items():
                 cap = bandwidth_of(edge)
-                if rate > cap + epsilon:
+                if rate > cap + CAPACITY_EPSILON:
                     raise ValueError(f"link {edge} carries {rate:.3f} > capacity {cap:.3f}")
 
 

@@ -22,6 +22,12 @@ import networkx as nx
 from repro.lp import LinearProgram, LinExpr, Variable
 from repro.routing.paths import Path, enumerate_feasible_paths
 
+#: Shortest feasible paths kept per destination when forming candidates.
+MAX_PATHS_PER_DESTINATION = 12
+
+#: A tree whose packed rate (Mbps) is at most this is solver dust.
+MIN_TREE_RATE_MBPS = 1e-6
+
 
 def candidate_trees(
     graph: nx.DiGraph,
@@ -29,7 +35,6 @@ def candidate_trees(
     destinations: list[str],
     relay_nodes: set[str] | None = None,
     max_delay_ms: float = float("inf"),
-    max_paths_per_destination: int = 12,
 ) -> list[frozenset[tuple[str, str]]]:
     """Candidate distribution trees as per-destination path unions.
 
@@ -41,7 +46,7 @@ def candidate_trees(
     """
     per_destination: list[list[Path]] = []
     for dst in destinations:
-        paths = enumerate_feasible_paths(graph, source, dst, max_delay_ms, relay_nodes)[:max_paths_per_destination]
+        paths = enumerate_feasible_paths(graph, source, dst, max_delay_ms, relay_nodes)[:MAX_PATHS_PER_DESTINATION]
         if not paths:
             return []
         per_destination.append(paths)
@@ -57,8 +62,6 @@ def tree_packing_solution(
     source: str,
     destinations: list[str],
     relay_nodes: set[str] | None = None,
-    max_delay_ms: float = float("inf"),
-    epsilon: float = 1e-6,
 ) -> list[tuple[frozenset[tuple[str, str]], float]]:
     """The packing optimum as explicit trees: [(edge frozenset, rate), ...].
 
@@ -69,7 +72,7 @@ def tree_packing_solution(
     destinations = list(destinations)
     if not destinations:
         raise ValueError("a multicast session needs at least one destination")
-    trees = candidate_trees(graph, source, destinations, relay_nodes, max_delay_ms)
+    trees = candidate_trees(graph, source, destinations, relay_nodes)
     if not trees:
         return []
     lp = LinearProgram()
@@ -93,7 +96,7 @@ def tree_packing_solution(
     lp.maximize(objective)
     solution = lp.solve()
     return [
-        (tree, solution[var]) for var, tree in zip(tree_vars, trees) if solution[var] > epsilon
+        (tree, solution[var]) for var, tree in zip(tree_vars, trees) if solution[var] > MIN_TREE_RATE_MBPS
     ]
 
 
@@ -102,7 +105,6 @@ def tree_packing_rate(
     source: str,
     destinations: list[str],
     relay_nodes: set[str] | None = None,
-    max_delay_ms: float = float("inf"),
 ) -> float:
     """Optimal fractional tree-packing rate (Mbps).
 
@@ -111,7 +113,7 @@ def tree_packing_rate(
     destinations = list(destinations)
     if not destinations:
         raise ValueError("a multicast session needs at least one destination")
-    trees = candidate_trees(graph, source, destinations, relay_nodes, max_delay_ms)
+    trees = candidate_trees(graph, source, destinations, relay_nodes)
     if not trees:
         return 0.0
     lp = LinearProgram()

@@ -43,6 +43,12 @@ from repro.soak import SoakRecord, fingerprint
 #: fire, stranding an admitted session through no fault of the plane.
 DRAIN_MARGIN_S = 30.0
 
+#: One seed's churn (Poisson arrivals, exponential holding) and its
+#: controller-crash budget.
+ARRIVAL_RATE_PER_S = 1.0
+MEAN_HOLDING_S = 12.0
+MAX_FAULTS = 3
+
 
 @dataclass(frozen=True)
 class ShardSoakRecord(SoakRecord):
@@ -71,9 +77,6 @@ def run_shard_soak(
     k: int = 3,
     n_datacenters: int = 8,
     duration_s: float = 40.0,
-    arrival_rate_per_s: float = 1.0,
-    mean_holding_s: float = 12.0,
-    max_faults: int = 3,
     controller_faults: bool = True,
     mode: str = INCREMENTAL,
 ) -> ShardSoakRecord:
@@ -92,8 +95,8 @@ def run_shard_soak(
     trace = ChurnTrace.generate(
         seed,
         duration_s=duration_s,
-        arrival_rate_per_s=arrival_rate_per_s,
-        mean_holding_s=mean_holding_s,
+        arrival_rate_per_s=ARRIVAL_RATE_PER_S,
+        mean_holding_s=MEAN_HOLDING_S,
         delay_choices_ms=(16.0, 80.0),
     )
     for event in trace.events:
@@ -108,7 +111,7 @@ def run_shard_soak(
             seed,
             duration_s=duration_s * 0.75,
             controllers=plane.replicas(),
-            max_faults=max_faults,
+            max_faults=MAX_FAULTS,
         )
         injector = FaultInjector(scheduler, plan)
         for shard in plane.shards.values():

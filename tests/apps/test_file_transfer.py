@@ -9,6 +9,7 @@ from repro.core.session import CodingConfig, MulticastSession
 from repro.core.vnf import NC_PORT, CodingVnf, VnfRole
 from repro.net import LinkSpec, Topology
 from repro.net.loss import UniformLoss
+from repro.net.packet import Datagram
 
 
 def line_topology(rng, loss=None, capacity=50.0):
@@ -142,6 +143,52 @@ class TestReliability:
         source.start()
         topo.run(until=1.0)
         assert len(receiver.completed) >= 0.95 * source.sent_generations
+
+
+class TestHostileControl:
+    """Whatever tuple lands on the source's ACK port is a counted drop,
+    never an exception out of the event loop (ROADMAP invariants (d))."""
+
+    @staticmethod
+    def lossy_transfer(hostile=()):
+        rng = np.random.default_rng(12345)
+        topo, relay = line_topology(rng, loss=UniformLoss(0.2))
+        session = make_session()
+        source, receiver = wire_session(topo, relay, session, rng, window_generations=64, total_generations=120)
+        receiver.retain_decoded = True
+        for i, message in enumerate(hostile):
+            dgram = Datagram(src="relay", dst="src", payload=message, payload_bytes=32, dst_port=ACK_PORT)
+            topo.scheduler.schedule_at(0.05 + 0.04 * i, source._on_control, dgram)
+        source.start()
+        topo.run(until=4.0)
+        decoded = {g: gen.blocks.tobytes() for g, gen in receiver.decoded_generations.items()}
+        return source, receiver.completed, decoded
+
+    def test_malformed_control_is_counted_and_changes_nothing(self):
+        clean_source, clean_completed, clean_decoded = self.lossy_transfer()
+        sid = clean_source.session.session_id  # ids are process-global: the next session gets sid + 1
+        hostile = [
+            (),
+            ("nack",),
+            ("cum_ack", sid + 1),
+            ("cum_ack", sid + 1, "dst", 5, "extra"),
+            ("cum_ack", sid + 1, "dst", None),
+            ("nack", sid + 1, 3, 1),
+            ("nack", sid + 1, 3, "one", (0,)),
+            ("nack", sid + 1, 3, 1, None),
+            ("cum_ack", sid + 99, "dst", 5),
+            ("nack", sid + 99, 3, 1, (0,)),
+            ("reset", sid + 1),
+            "cum_ack",
+            None,
+        ]
+        source, completed, decoded = self.lossy_transfer(hostile)
+        assert source.session.session_id == sid + 1
+        assert source.malformed_control == len(hostile)
+        assert clean_source.malformed_control == 0 and clean_source.repair_packets > 0
+        assert source.repair_packets == clean_source.repair_packets
+        assert completed == clean_completed and len(completed) == 120
+        assert decoded == clean_decoded
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""Extra controller coverage: settings push, empty-state behaviour."""
+"""Extra controller coverage: empty-state behaviour."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.cloud import CloudProvider, DataCenter
 from repro.core import Controller, MulticastSession
 from repro.core.deployment import DataCenterSpec
-from repro.core.vnf import VnfRole
 
 RELAYS = ["O1", "C1", "T", "V2"]
 
@@ -24,18 +23,6 @@ def controller(butterfly_graph, scheduler):
         alpha=1.0,
         providers=providers,
     )
-
-
-class TestSettingsPush:
-    def test_push_settings_signal_contents(self, controller):
-        session = MulticastSession(source="V1", receivers=["O2", "C2"], max_delay_ms=250.0)
-        controller.push_settings(session, {"T": VnfRole.RECODER, "O1": VnfRole.FORWARDER})
-        records = controller.bus.sent_of_kind("NcSettings")
-        assert len(records) == 2
-        by_target = {r.signal.target: r.signal for r in records}
-        assert by_target["T"].roles == ((session.session_id, "recoder"),)
-        assert by_target["T"].generation_bytes == 5840
-        assert by_target["T"].block_bytes == 1460
 
 
 class TestEmptyState:

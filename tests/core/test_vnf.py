@@ -154,16 +154,16 @@ class TestPauseResume:
 class TestHopShaping:
     def test_shape_limits_emissions(self, rng):
         topo, vnfs, config = make_chain(rng)
-        vnfs[0].set_hop_shape(1, "dst", skip_arrivals=2, emit_per_generation=2)
+        vnfs[0].set_hop_shape(1, "dst", skip_arrivals=2)
         received = []
         topo.get("dst").listen(NC_PORT, lambda d: received.append(d.payload))
         send_generation(topo, rng, config, count=6)
         topo.run()
-        assert len(received) == 2  # arrivals 3 and 4 trigger, cap at 2
+        assert len(received) == 4  # arrivals 3..6 trigger, the first two are skipped
 
     def test_shaped_emissions_are_recodes(self, rng):
         topo, vnfs, config = make_chain(rng)
-        vnfs[0].set_hop_shape(1, "dst", skip_arrivals=2, emit_per_generation=2)
+        vnfs[0].set_hop_shape(1, "dst", skip_arrivals=2)
         received = []
         topo.get("dst").listen(NC_PORT, lambda d: received.append(d.payload))
         send_generation(topo, rng, config, count=4)
@@ -173,7 +173,7 @@ class TestHopShaping:
     def test_invalid_shape(self, rng):
         _, vnfs, _ = make_chain(rng)
         with pytest.raises(ValueError):
-            vnfs[0].set_hop_shape(1, "dst", -1, 2)
+            vnfs[0].set_hop_shape(1, "dst", -1)
 
 
 class TestDispatcher:
@@ -229,7 +229,7 @@ def drive_bounded_relay(rng, generations=40, on_generation=None):
     relay.configure_session(1, VnfRole.RECODER, config)
     relay.forwarding_table = ForwardingTable({1: ["left", "right"]})
     relay.set_hop_shape(1, "left", skip_arrivals=1)
-    relay.set_hop_shape(1, "right", skip_arrivals=2, emit_per_generation=2)
+    relay.set_hop_shape(1, "right", skip_arrivals=2)
     topo.add_link(LinkSpec("src", "relay", 100.0, 1.0))
     digest = hashlib.sha256()
     for sink in ("left", "right"):
@@ -261,8 +261,10 @@ class TestBoundedRelayState:
     #: commit before the relay-state rewrite (set-diff eviction,
     #: (session, hop, generation) progress keys); re-pinned once, at the
     #: random-stream migration (DESIGN §10 "Random streams": raw-word
-    #: coefficient draws, a private stream per link), from 1b401275….
-    PARENT_DIGEST = "38fc14ca1c86822f247af75625671c73ce214b6831f7050ffbf3e2ec84e78d0a"
+    #: coefficient draws, a private stream per link), from 1b401275…,
+    #: and, when PR 23 deleted the emit cap, read off the parent tree
+    #: with the "right" hop's cap left off (from 38fc14ca…).
+    PARENT_DIGEST = "1b5fa19edd016f77b676f243ce9fbf419156d803390d04453332526f8a8f3c8d"
 
     def test_state_tracks_the_buffer_and_output_is_unchanged(self, rng):
         def bounded(relay):
@@ -273,11 +275,11 @@ class TestBoundedRelayState:
         relay, digest = drive_bounded_relay(rng, on_generation=bounded)
         assert set(relay._relays[1]) == set(range(32, 40))
         for state in relay._relays[1].values():
-            assert state.hop_progress == {"left": [5, 4], "right": [5, 2]}
+            assert state.hop_progress == {"left": 5, "right": 5}
         assert relay.duplicate_dropped == 8   # generations 0, 5, ..., 35
         assert relay.stale_dropped == 7       # after generations 12, 16, ..., 36
         assert relay.processed_packets == 40 * 5 + 8 + 7
-        assert relay.emitted_packets == 40 * (4 + 2)
+        assert relay.emitted_packets == 40 * (4 + 3)
         assert digest == self.PARENT_DIGEST
 
     def test_clearing_a_shape_and_dropping_the_session_leave_no_progress(self, rng):
@@ -362,7 +364,7 @@ def drive_dirty_chain(rng):
 
 def drive_fanout_relay(rng, shapes):
     """One k=4 recoder fanning out to ``len(shapes)`` sinks; ``shapes``
-    maps each next hop to its (skip, emit cap) shape or ``None``."""
+    maps each next hop to its ``skip_arrivals`` or ``None``."""
     topo = Topology(rng=rng)
     topo.add_node("src")
     relay = CodingVnf("relay", topo.scheduler, rng=rng, coding_overhead_s=0.0)
@@ -375,7 +377,7 @@ def drive_fanout_relay(rng, shapes):
         topo.add_node(hop)
         topo.add_link(LinkSpec("relay", hop, 100.0, 1.0))
         if shape is not None:
-            relay.set_hop_shape(1, hop, *shape)
+            relay.set_hop_shape(1, hop, shape)
     src = topo.get("src")
     for gen_id in range(20):
         blocks = rng.integers(0, 256, (4, config.block_bytes), dtype=np.uint8)
@@ -389,11 +391,11 @@ def drive_fanout_relay(rng, shapes):
 
 FANOUTS = {
     "two-unshaped": {"a": None, "b": None},
-    "two-shaped": {"a": (1, None), "b": (2, 2)},
-    "two-mixed": {"a": None, "b": (2, 2)},
+    "two-shaped": {"a": 1, "b": 2},
+    "two-mixed": {"a": None, "b": 2},
     "three-unshaped": {"a": None, "b": None, "c": None},
-    "three-shaped": {"a": (1, None), "b": (2, 2), "c": (0, 3)},
-    "three-mixed": {"a": (1, None), "b": None, "c": (2, 2)},
+    "three-shaped": {"a": 1, "b": 2, "c": 3},
+    "three-mixed": {"a": 1, "b": None, "c": 2},
 }
 
 
@@ -403,16 +405,18 @@ class TestRelayBitIdentity:
     Held since the commit before the one-row-store relay (packets kept
     in ``GenerationBuffer`` buckets, one ``recode()`` per hop);
     re-pinned once, at the random-stream migration (DESIGN §10 "Random
-    streams"), the one commit allowed to move them."""
+    streams"), the one commit allowed to move them.  The four fan-outs
+    that used an emit cap were read off the parent tree with the cap
+    left off when PR 23 deleted it."""
 
     CHAIN_DIGEST = "3a4acc5c3ec0e91054bc000466e5c4fb1473166be4048aad94b3ef40a246baea"
     FANOUT_DIGESTS = {
         "two-unshaped": "b2e56b5b8fb0765ff9bf8943aa8540b5e7c2a7c17cf4e61bc9f7714d09faa889",
-        "two-shaped": "90361b5c2f405fe954134f56cca2374c033da80b1bcb5beff0a385ab07ac2caa",
-        "two-mixed": "966607ab823822a3996cdb19f61bd105f003bf135b43b792538a05815b086241",
+        "two-shaped": "f79e544fc0832e2223562dbedd3f39da247f46759d7f0868820ee0148ee895d6",
+        "two-mixed": "ab51f9760aad8ff7810dfc1d1c3691be3c5874d37f745525605715db96e0433e",
         "three-unshaped": "0976406611d09f1e8be54fe343755d9547d32282eaba5b212848d0de330eccf6",
-        "three-shaped": "a3c07e5016226e90c52d0ed7c5f5ee48a6d82f5f5ee3f5e20a3bb8925a2f68c5",
-        "three-mixed": "6794f44fbca5ab6788f9bbc7fde2f9afcc5e4771fd9fa9337230464b1bac241b",
+        "three-shaped": "b0312e1e046e561a4ec7844845165af8855788fda3ce345d9a796ce42f4c6d49",
+        "three-mixed": "8931ebc2433669bb68f5b6066e34158146a63981eed8b9099977bb5dc66dcf97",
     }
 
     def test_three_relay_dirty_chain(self, rng):

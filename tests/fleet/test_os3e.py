@@ -14,7 +14,6 @@ from repro.net.topology import (
     os3e_graph,
     os3e_latency_ms,
     os3e_span_delay_ms,
-    os3e_topology,
 )
 
 
@@ -95,24 +94,6 @@ class TestOs3eLatencies:
 
 
 class TestOs3eSimulatorExport:
-    def test_topology_builds_duplex_links(self):
-        topo = os3e_topology(capacity_mbps=1000.0)
-        assert len(topo.nodes) == 34
-        assert len(topo.links) == 84
-        fwd = topo.link("Vancouver", "Seattle")
-        rev = topo.link("Seattle", "Vancouver")
-        assert fwd.capacity_bps == 1000.0 * 1e6
-        assert fwd.delay_s == rev.delay_s
-
-    def test_graph_view_matches_standalone_graph(self):
-        topo = os3e_topology()
-        view = topo.graph()
-        ref = os3e_graph()
-        assert set(view.nodes) == set(ref.nodes)
-        assert set(view.edges) == set(ref.edges)
-        for a, b in OS3E_SPANS:
-            assert math.isclose(view.edges[a, b]["delay_ms"], ref.edges[a, b]["delay_ms"], rel_tol=1e-9)
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             os3e_graph(capacity_mbps=0.0)

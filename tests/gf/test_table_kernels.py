@@ -5,7 +5,7 @@ implementation; the full-table gather kernels added for the data-plane
 fast path (``MUL``, ``mul_table``, ``matmul``, ``row_product``,
 ``scale_into``, ``addmul_into``) must be bit-identical to it.  Scalar coverage is
 exhaustive (all 256x256 pairs for GF(2^8), all 16x16 for GF(2^4));
-matrix shapes and contents are driven by Hypothesis across all three
+matrix shapes and contents are driven by Hypothesis across both
 supported fields.
 """
 
@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import GF16, GF256, GF65536
+from repro.gf import GF16, GF256
 
-FIELDS = {"GF16": GF16, "GF256": GF256, "GF65536": GF65536}
+FIELDS = {"GF16": GF16, "GF256": GF256}
 
 seed_st = st.integers(min_value=0, max_value=2**31 - 1)
 field_st = st.sampled_from(sorted(FIELDS))
@@ -45,18 +45,11 @@ class TestFullTableScalars:
         expected = field.mul(a[:, None], a[None, :])
         assert np.array_equal(field.MUL, expected)
 
-    def test_gf65536_has_no_full_table(self):
-        with pytest.raises(ValueError):
-            _ = GF65536.MUL
-
-    @pytest.mark.parametrize("name", ["GF16", "GF256", "GF65536"])
+    @pytest.mark.parametrize("name", ["GF16", "GF256"])
     def test_mul_row_matches_oracle(self, name):
         field = FIELDS[name]
         elements = np.arange(field.order, dtype=field.dtype)
-        # GF(2^16): spot-check a spread of rows (the full 65536x65536
-        # product is out of reach by design — that's why rows are cached).
-        coeffs = range(field.order) if field.order <= 256 else (0, 1, 2, 255, 256, 0x1234, field.order - 1)
-        for c in coeffs:
+        for c in range(field.order):
             assert np.array_equal(field.mul_row(int(c)), field.mul(field.dtype(c), elements))
 
 

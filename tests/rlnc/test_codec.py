@@ -49,12 +49,6 @@ class TestEncoder:
         expected = GF256.linear_combination(packet.coefficients, gen.blocks)
         assert np.array_equal(packet.payload, expected)
 
-    def test_large_field_rejected(self, rng):
-        from repro.gf import GF65536
-
-        with pytest.raises(ValueError):
-            Encoder(1, make_generation(rng), field=GF65536)
-
     def test_packets_count(self, rng):
         enc = Encoder(1, make_generation(rng), rng=rng)
         assert len(list(enc.packets(6))) == 6
