@@ -10,15 +10,12 @@ Direct-TCP baseline.
 Gates: at every hostile point (≥ 15 % loss) adaptive must beat both
 fixed redundancy and TCP on both presets, and on the clean link it must
 not cost more than a few percent versus fixed (the AIMD decay keeps the
-redundancy tax bounded).  The run emits ``BENCH_adapt.json`` (the CI
-``adapt`` job archives it); the committed copy is the regression
-baseline — sweeps are seeded and deterministic, so any drift versus the
-committed numbers is a behaviour change, and the ratchet test fails if
-adaptive goodput falls more than 10 % below it anywhere.
+redundancy tax bounded).  The sweep is seeded and deterministic; its
+exact values are pinned elsewhere — the GEO-adaptive and IoT-fixed
+digests of ``tests/integration/test_bringup_pinned.py`` and the
+``session.goodput_mbps`` row of the ``iot-chain-adaptive`` ``bench``
+workload — and EXPERIMENTS.md prints the table this run prints.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -33,33 +30,19 @@ PRESETS = (GEO_SATELLITE, IOT_RELAY_CHAIN)
 #: Clean-link tolerance: adaptive may trail fixed NC1 by at most this
 #: fraction at zero loss (its redundancy probing costs a little wire).
 CLEAN_TAX = 0.05
-#: Ratchet: adaptive goodput may not drop below this fraction of the
-#: committed baseline at any sweep point.
-RATCHET = 0.90
 
 
 @pytest.fixture(scope="module")
-def adapt_report():
-    baseline = None
-    artifact = Path("BENCH_adapt.json")
-    if artifact.exists():
-        baseline = json.loads(artifact.read_text())
-    report = {
-        "losses": list(LOSSES),
-        "duration_s": DURATION_S,
-        "seed": SEED,
-        "hostile_loss": HOSTILE_LOSS,
-        "presets": {
-            preset.name: loss_sweep(preset, LOSSES, duration_s=DURATION_S, seed=SEED)
-            for preset in PRESETS
-        },
+def adapt_sweeps():
+    """Preset name -> one row per loss point."""
+    return {
+        preset.name: loss_sweep(preset, LOSSES, duration_s=DURATION_S, seed=SEED)
+        for preset in PRESETS
     }
-    artifact.write_text(json.dumps(report, indent=2))
-    return {"report": report, "baseline": baseline}
 
 
 @pytest.mark.benchmark(group="adapt")
-def test_adaptive_beats_fixed_and_tcp(benchmark, adapt_report, table_printer):
+def test_adaptive_beats_fixed_and_tcp(benchmark, adapt_sweeps, table_printer):
     # Timing target: one full adaptive hostile-link run on the GEO preset.
     benchmark.pedantic(
         run_scenario,
@@ -67,7 +50,7 @@ def test_adaptive_beats_fixed_and_tcp(benchmark, adapt_report, table_printer):
         rounds=1,
         iterations=1,
     )
-    for name, rows in adapt_report["report"]["presets"].items():
+    for name, rows in adapt_sweeps.items():
         table_printer(
             f"Adaptive vs fixed vs TCP goodput — {name}",
             ["loss", "adaptive (Mbps)", "fixed (Mbps)", "TCP (Mbps)", "retunes", "final extra"],
@@ -89,37 +72,22 @@ def test_adaptive_beats_fixed_and_tcp(benchmark, adapt_report, table_printer):
                 assert row["adaptive_mbps"] > row["tcp_mbps"], (name, row)
 
 
-def test_adaptive_clean_link_tax_is_bounded(adapt_report):
+def test_adaptive_clean_link_tax_is_bounded(adapt_sweeps):
     # On a clean link the loop must converge near the static baseline:
     # probing redundancy may not cost more than CLEAN_TAX of goodput.
-    for name, rows in adapt_report["report"]["presets"].items():
+    for name, rows in adapt_sweeps.items():
         clean = next(r for r in rows if r["loss"] == 0.0)
         assert clean["adaptive_mbps"] >= (1.0 - CLEAN_TAX) * clean["fixed_mbps"], (name, clean)
 
 
-def test_adaptive_reacts_to_hostile_loss(adapt_report):
+def test_adaptive_reacts_to_hostile_loss(adapt_sweeps):
     # The controller must actually move: retunes pushed and redundancy
     # raised on every hostile point, and the hostile generation size
     # adopted (shorter generations under heavy loss).
-    for name, rows in adapt_report["report"]["presets"].items():
+    for name, rows in adapt_sweeps.items():
         for row in rows:
             if row["loss"] >= HOSTILE_LOSS:
                 assert row["adaptive_retunes"] > 0, (name, row)
                 assert row["adaptive_final_extra"] > 0, (name, row)
                 assert row["adaptive_final_blocks"] <= 8, (name, row)
 
-
-def test_ratchet_against_committed_baseline(adapt_report):
-    baseline = adapt_report["baseline"]
-    if baseline is None or baseline.get("seed") != SEED or baseline.get("losses") != list(LOSSES):
-        pytest.skip("no comparable committed BENCH_adapt.json baseline")
-    for name, rows in adapt_report["report"]["presets"].items():
-        for row, old in zip(rows, baseline["presets"][name]):
-            assert row["adaptive_mbps"] >= RATCHET * old["adaptive_mbps"], (name, row, old)
-
-
-def test_json_artifact_written(adapt_report):
-    payload = json.loads(Path("BENCH_adapt.json").read_text())
-    assert set(payload["presets"]) == {p.name for p in PRESETS}
-    for rows in payload["presets"].values():
-        assert [r["loss"] for r in rows] == list(LOSSES)

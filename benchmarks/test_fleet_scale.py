@@ -1,30 +1,29 @@
-"""Fleet-scale control-plane benchmark: the PR's headline artifact.
+"""Fleet-scale control plane: what the incremental design is for.
 
-Admits 500 concurrent sessions onto the OS3E overlay and measures what
-the incremental control plane is for: admission throughput and the
-delta-replan latency distribution at 50 / 200 / 500 live sessions,
-against the cost of the paper's whole-fleet re-solve at the same
-scale.  Results land in ``BENCH_fleet.json`` (the CI artifact) and are
-gated two ways:
+Admits 500 concurrent sessions onto the OS3E overlay and measures the
+delta-replan latency distribution at 50 / 200 / 500 live sessions
+against the cost of the paper's whole-fleet re-solve at the same scale.
+Three gates, each a ratio or a count taken inside this one process, so
+they hold on any host:
 
-- absolutely — the median whole-fleet resolve at 200 sessions must be
-  ≥ 5× the median delta replan (the reason ``repro.fleet`` exists);
-- relatively — against the committed baseline numbers with the usual
-  ``PERF_TOLERANCE`` factor, like ``test_perf_baselines.py``.
+- the median whole-fleet resolve at 200 sessions is ≥ 5× the median
+  delta replan (the reason ``repro.fleet`` exists);
+- the p50 replan at 500 sessions is < 10× the p50 at 50 — O(session),
+  not O(fleet);
+- warm starts fire.
+
+The absolute latencies are ``bench`` rows, measured on the
+``plane-churn-failover`` workload (``fleet.replan_ns_p50``/``_p99``,
+``fleet.admit_ns_p50``).
 
 The whole-fleet resolve is sampled at 50 and 200 sessions only: the
 dense tableau at 500 sessions is minutes of solve time and gigabytes
-of matrix for a number nobody gates on.  The omission is recorded in
-the JSON config block rather than silently skipped.
+of matrix for a number nobody gates on.
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import os
-import time
-from pathlib import Path
+import timeit
 
 import numpy as np
 import pytest
@@ -63,8 +62,6 @@ HOST_CITIES = (
     "Minneapolis",
 )
 
-FLEET_BENCH = Path("BENCH_fleet.json")
-TOLERANCE = float(os.environ.get("PERF_TOLERANCE", "3.0"))
 MIN_SPEEDUP_200 = 5.0
 
 
@@ -91,70 +88,46 @@ def _make_manager() -> FleetManager:
     )
 
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 @pytest.fixture(scope="module")
 def fleet_metrics():
     manager = _make_manager()
     metrics: dict[str, float] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        admitted = 0
-        for size in FLEET_SIZES:
-            # -- admission throughput up to this fleet size ----------------
-            batch = [_spec(i) for i in range(admitted + 1, size + 1)]
-            elapsed = _timed(lambda: [manager.admit(s) for s in batch])
-            admitted = size
-            assert manager.active_sessions == size, "benchmark fleet must admit fully"
-            metrics[f"admit_{size}_per_s"] = len(batch) / elapsed
+    admitted = 0
+    for size in FLEET_SIZES:
+        for i in range(admitted + 1, size + 1):
+            manager.admit(_spec(i))
+        admitted = size
+        assert manager.active_sessions == size, "benchmark fleet must admit fully"
 
-            # -- delta replan latency distribution at this size ------------
-            # Evenly spread live sessions, cycled when the fleet is smaller
-            # than the sample (a re-replan is the same unit of work).
-            stride = max(size, REPLAN_SAMPLES)
-            sample = [1 + (k * stride // REPLAN_SAMPLES) % size for k in range(REPLAN_SAMPLES)]
-            replan_s = [_timed(lambda s=sid: manager.replan_session(s)) for sid in sample]
-            metrics[f"replan_{size}_p50_ns"] = float(np.percentile(replan_s, 50) * 1e9)
-            metrics[f"replan_{size}_p99_ns"] = float(np.percentile(replan_s, 99) * 1e9)
+        # -- delta replan latency distribution at this size ------------
+        # Evenly spread live sessions, cycled when the fleet is smaller
+        # than the sample (a re-replan is the same unit of work);
+        # ``timeit`` pauses the collector around each one.
+        stride = max(size, REPLAN_SAMPLES)
+        sample = [1 + (k * stride // REPLAN_SAMPLES) % size for k in range(REPLAN_SAMPLES)]
+        replan_s = [timeit.timeit(lambda s=sid: manager.replan_session(s), number=1) for sid in sample]
+        metrics[f"replan_{size}_p50_ns"] = float(np.percentile(replan_s, 50) * 1e9)
+        metrics[f"replan_{size}_p99_ns"] = float(np.percentile(replan_s, 99) * 1e9)
 
-            # -- the paper's whole-fleet resolve at the same scale ---------
-            if size in WHOLE_FLEET_SIZES:
-                resolve_s = [_timed(manager.whole_fleet_resolve) for _ in range(3)]
-                metrics[f"whole_fleet_{size}_ns"] = float(np.median(resolve_s) * 1e9)
-                metrics[f"speedup_{size}"] = float(
-                    np.median(resolve_s) / np.percentile(replan_s, 50)
-                )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        # -- the paper's whole-fleet resolve at the same scale ---------
+        if size in WHOLE_FLEET_SIZES:
+            resolve_s = timeit.repeat(manager.whole_fleet_resolve, number=1, repeat=3)
+            metrics[f"whole_fleet_{size}_ns"] = float(np.median(resolve_s) * 1e9)
+            metrics[f"speedup_{size}"] = float(
+                np.median(resolve_s) / np.percentile(replan_s, 50)
+            )
     metrics["warm_hits"] = float(manager.warm_hits)
     metrics["lp_solves"] = float(manager.lp_solves)
     return metrics
 
 
-def _check_against_baseline(metrics: dict) -> list:
-    if not FLEET_BENCH.exists():
-        return []
-    baseline = json.loads(FLEET_BENCH.read_text()).get("metrics", {})
-    problems = []
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None or not base:
-            continue
-        if name.endswith("_ns") and value > base * TOLERANCE:
-            problems.append(f"{name}: {value:.0f} ns vs baseline {base:.0f} ns (> {TOLERANCE}x)")
-        elif name.endswith("_per_s") and value < base / TOLERANCE:
-            problems.append(f"{name}: {value:.0f}/s vs baseline {base:.0f}/s (< 1/{TOLERANCE}x)")
-    return problems
-
-
 class TestFleetScale:
-    def test_speedup_gate_at_200_sessions(self, fleet_metrics):
+    def test_speedup_gate_at_200_sessions(self, fleet_metrics, table_printer):
+        table_printer(
+            "Fleet scale: delta replan vs whole-fleet resolve",
+            ["metric", "value"],
+            [[name, f"{value:,.1f}"] for name, value in fleet_metrics.items()],
+        )
         # The tentpole's acceptance bar: a delta replan beats the
         # whole-fleet re-solve by at least 5x in the median at 200
         # sessions.  (Measured: three to four orders of magnitude.)
@@ -167,29 +140,3 @@ class TestFleetScale:
 
     def test_warm_starts_fire_at_scale(self, fleet_metrics):
         assert fleet_metrics["warm_hits"] > 0
-
-    def test_against_committed_baseline_and_rewrite(self, fleet_metrics):
-        problems = _check_against_baseline(fleet_metrics)
-        FLEET_BENCH.write_text(
-            json.dumps(
-                {
-                    "config": {
-                        "fleet_sizes": list(FLEET_SIZES),
-                        "replan_samples": REPLAN_SAMPLES,
-                        "whole_fleet_sizes": list(WHOLE_FLEET_SIZES),
-                        "omitted": {
-                            "whole_fleet_500": (
-                                "dense whole-fleet tableau at 500 sessions costs minutes "
-                                "and gigabytes for a number nobody gates on"
-                            )
-                        },
-                        "tolerance": TOLERANCE,
-                        "min_speedup_200": MIN_SPEEDUP_200,
-                    },
-                    "metrics": fleet_metrics,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        assert not problems, "; ".join(problems)

@@ -6,27 +6,17 @@ for each single-relay crash on the failover butterfly it reports the
 death-verdict latency (miss_threshold × heartbeat interval), the
 recovery latency (first post-crash generation decoded at every
 receiver), and their sum — the mean-time-to-repair the failure-matrix
-tests pin.  A short replay-verified chaos digest rides along.
-
-The run also emits ``BENCH_recovery.json`` in the working directory
-(the CI benchmark step archives it), so MTTR regressions show up as an
-artifact diff even when no assertion moves.
+tests pin.  The seeded chaos sweeps are ``python -m repro.soak session``
+(Tier-1 ``tests/faults/test_chaos_soak.py``, the CI ``session`` soak cells).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import run_chaos_session
 from repro.experiments.failures import run_butterfly_failover
-from repro.soak import COMPLETE, TYPED, run_soak, summarize
 
 #: Every single-relay crash is survivable post-PR 3 — including O1,
 #: which also carries O2's reverse NACK path.
 CRASH_SITES = ("O1", "C1", "T", "V2")
-
-CHAOS_SEEDS = range(8)  # a digest, not the full 50-seed tier-1 soak
 
 
 def _crash_metrics(node: str) -> dict:
@@ -45,21 +35,12 @@ def _crash_metrics(node: str) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def recovery_report():
-    scenarios = [_crash_metrics(node) for node in CRASH_SITES]
-    # Per-seed detail stays in the soak CLI's own JSON.
-    digest = summarize(run_soak(run_chaos_session, CHAOS_SEEDS, replay=True))
-    report = {"scenarios": scenarios, "chaos_digest": digest}
-    Path("BENCH_recovery.json").write_text(json.dumps(report, indent=2))
-    return report
-
-
 @pytest.mark.benchmark(group="recovery")
-def test_recovery_mttr_report(benchmark, recovery_report, table_printer):
+def test_recovery_mttr_report(benchmark, table_printer):
     # Timing target: one full detect→replan→repair cycle on the
     # hardest crash site (O1 — data branch AND feedback path die).
     benchmark.pedantic(_crash_metrics, args=("O1",), rounds=1, iterations=1)
+    scenarios = [_crash_metrics(node) for node in CRASH_SITES]
     rows = [
         [
             s["crash_site"],
@@ -68,28 +49,16 @@ def test_recovery_mttr_report(benchmark, recovery_report, table_printer):
             f"{s['recovery_latency_s']:.3f}" if s["recovery_latency_s"] is not None else "-",
             f"{s['mttr_s']:.3f}" if s["mttr_s"] is not None else "-",
         ]
-        for s in recovery_report["scenarios"]
+        for s in scenarios
     ]
     table_printer(
         "Self-healing MTTR per crash site",
         ["crash", "recovered", "detect (s)", "repair (s)", "MTTR (s)"],
         rows,
     )
-    for scenario in recovery_report["scenarios"]:
+    for scenario in scenarios:
         assert scenario["detected"] and scenario["recovered"], scenario["crash_site"]
         assert scenario["feasible_replan"]
         assert scenario["mttr_s"] is not None and scenario["mttr_s"] < 1.5
         assert all(count > 0 for count in scenario["decoded_after"].values())
 
-
-def test_chaos_digest_is_clean(recovery_report):
-    digest = recovery_report["chaos_digest"]
-    assert digest["seeds"] == len(CHAOS_SEEDS)
-    assert not digest["violations"]
-    assert digest[COMPLETE] + digest[TYPED] == digest["seeds"]
-
-
-def test_json_artifact_written(recovery_report):
-    payload = json.loads(Path("BENCH_recovery.json").read_text())
-    assert {s["crash_site"] for s in payload["scenarios"]} == set(CRASH_SITES)
-    assert payload["chaos_digest"]["seeds"] == len(CHAOS_SEEDS)

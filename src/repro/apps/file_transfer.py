@@ -62,6 +62,17 @@ def _make_generation(generation_id: int, blocks: int, block_bytes: int, rng: np.
     return Generation(generation_id=generation_id, blocks=data)
 
 
+def _is_nack(message: object) -> bool:
+    """A well-formed ``("nack", session, generation, missing_dof, missing_indices)``."""
+    return (
+        isinstance(message, tuple)
+        and len(message) == 5
+        and message[0] == "nack"
+        and all(isinstance(field, int) for field in message[1:4])
+        and isinstance(message[4], tuple)
+    )
+
+
 @dataclass
 class LinkShare:
     """One outgoing link of the source with its conceptual-flow rate."""
@@ -236,13 +247,7 @@ class NcSourceApp:
             if self._stalled and self._window_open():
                 self._stalled = False
                 self.node.scheduler.schedule(0.0, self._emit_generation)
-        elif (
-            message[0] == "nack"
-            and len(message) == 5
-            and isinstance(message[2], int)
-            and isinstance(message[3], int)
-            and isinstance(message[4], tuple)
-        ):
+        elif _is_nack(message):
             self._repair(message[2], message[3], message[4])
         else:
             self.malformed_control += 1
@@ -730,8 +735,10 @@ class RepairingControlRelay(ControlRelay):
 
     def _on_control(self, dgram: Datagram) -> None:
         super()._on_control(dgram)
+        # Everything went upstream (the source counts what is malformed);
+        # only a well-formed NACK is served from this relay's buffer.
         message = dgram.payload
-        if not (isinstance(message, tuple) and message and message[0] == "nack"):
+        if not _is_nack(message):
             return
         _, session_id, generation_id, missing_dof, _ = message
         self.nacks_seen += 1

@@ -30,6 +30,11 @@ remembers recently seen ``signal_id``s so a re-delivered signal is
 acted on exactly once (``duplicate_dropped``).  Both defenses die with
 the process — a restarted daemon accepts whatever epoch the controller
 sends next, matching real supervisor-restart amnesia.
+
+Hostile boundary: an ``NC_SETTINGS`` naming a role outside
+:class:`VnfRole`, or an ``NC_FORWARD_TAB`` whose text does not parse, is
+a counted drop (``malformed_config``) that changes nothing — roles,
+shapes, table and the ``(fence, epoch)`` stamp stay as they were.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.core.forwarding import ForwardingTable
+from repro.core.forwarding import ForwardingTable, ForwardingTableError
 from repro.core.session import CodingConfig
 from repro.core.signals import (
     ConfigEpochGate,
@@ -94,6 +99,7 @@ class VnfDaemon:
         # Staleness / duplicate defense (per daemon process lifetime).
         self._config_gate = ConfigEpochGate()
         self.duplicate_dropped = 0
+        self.malformed_config = 0
         self._seen_signal_ids: dict[int, None] = {}  # insertion-ordered bounded set
         self._heartbeat: PeriodicEvent | None = None
         bus.register(vnf.name, self.handle_signal)
@@ -213,11 +219,18 @@ class VnfDaemon:
         return self._config_gate.accepts(fence, epoch)
 
     def _on_settings(self, signal: NcSettings) -> None:
+        # Validate before the gate: a refused config must not advance the
+        # (fence, epoch) stamp and shadow the valid push that follows it.
+        try:
+            roles = [(session_id, VnfRole(role_name)) for session_id, role_name in signal.roles]
+        except ValueError:
+            self.malformed_config += 1
+            return
         if not self._accepts_config(signal.fence, signal.epoch):
             return
-        for session_id, role_name in signal.roles:
+        for session_id, role in roles:
             config = self.session_configs.get(session_id, CodingConfig())
-            self.vnf.configure_session(session_id, VnfRole(role_name), config)
+            self.vnf.configure_session(session_id, role, config)
         self._stage_retunes(signal)
         for session_id, next_hop, skip in signal.shapes:
             self.vnf.set_hop_shape(session_id, next_hop, skip)
@@ -262,9 +275,13 @@ class VnfDaemon:
             self._apply_table(table)
 
     def _on_forward_tab(self, signal: NcForwardTab) -> None:
+        try:
+            table = ForwardingTable.parse(signal.table_text)
+        except ForwardingTableError:
+            self.malformed_config += 1
+            return
         if not self._accepts_config(signal.fence, signal.epoch):
             return  # pre-replan or deposed-primary table: discard
-        table = ForwardingTable.parse(signal.table_text)
         if not self.function_running:
             self.pending_table = table  # applied as soon as the function is up
             return

@@ -29,7 +29,7 @@ from repro.core.deployment import DeploymentPlan
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
 from repro.core.signals import NcForwardTab, NcSettings, SignalBus
-from repro.core.vnf import CodingVnf, VnfDispatcher, VnfRole
+from repro.core.vnf import NC_PORT, CodingVnf, VnfDispatcher, VnfRole
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import DaemonTarget
 from repro.net.events import EventScheduler
@@ -41,7 +41,6 @@ CONTROL_LINK_MBPS = 5.0
 #: instantiated by :func:`build_data_plane`.
 QUEUE_BYTES = 48 * 1024
 JITTER_S = 0.003
-NC_UDP_PORT = 52017
 
 #: The one rate threshold of the lowering: a link carrying less than
 #: this is not part of the session's routing.
@@ -206,7 +205,7 @@ def config_signals(
         settings = dataclasses.replace(
             settings,
             roles=tuple((sid, wired.role.value) for sid, wired in mine),
-            udp_port=NC_UDP_PORT,
+            udp_port=NC_PORT,
             generation_bytes=coding.generation_bytes,
             block_bytes=coding.block_bytes,
         )

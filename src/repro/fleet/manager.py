@@ -470,24 +470,28 @@ class FleetManager:
             return
         spec = self.sessions[plan.session_id]
         for dc in touched:
-            bus.send(
-                NcSettings(
-                    target=dc,
-                    session_ids=(plan.session_id,),
-                    roles=((plan.session_id, "coder"),),
-                    epoch=self.config_epoch,
-                    fence=self.config_fence,
-                )
-            )
-            bus.send(
-                NcForwardTab(
-                    target=dc,
-                    table_text=self.forwarding_table(dc),
-                    epoch=self.config_epoch,
-                    fence=self.config_fence,
-                )
-            )
+            self._send_pop_config(bus, dc, (plan.session_id,))
         bus.send(NcStart(target=spec.source_host(), session_id=plan.session_id))
+
+    def _send_pop_config(self, bus: SignalPort, dc: str, session_ids: tuple[int, ...]) -> None:
+        """One PoP's settings + table under the current ``(fence, epoch)``."""
+        bus.send(
+            NcSettings(
+                target=dc,
+                session_ids=session_ids,
+                roles=tuple((sid, "coder") for sid in session_ids),
+                epoch=self.config_epoch,
+                fence=self.config_fence,
+            )
+        )
+        bus.send(
+            NcForwardTab(
+                target=dc,
+                table_text=self.forwarding_table(dc),
+                epoch=self.config_epoch,
+                fence=self.config_fence,
+            )
+        )
 
     def republish_config(self) -> int:
         """Re-push every touched PoP's settings + table at the current stamp.
@@ -507,24 +511,7 @@ class FleetManager:
             for dc in self.plans[sid].datacenters(self._dc_name_set):
                 touched_by_dc.setdefault(dc, []).append(sid)
         for dc in sorted(touched_by_dc):
-            session_ids = tuple(touched_by_dc[dc])
-            bus.send(
-                NcSettings(
-                    target=dc,
-                    session_ids=session_ids,
-                    roles=tuple((sid, "coder") for sid in session_ids),
-                    epoch=self.config_epoch,
-                    fence=self.config_fence,
-                )
-            )
-            bus.send(
-                NcForwardTab(
-                    target=dc,
-                    table_text=self.forwarding_table(dc),
-                    epoch=self.config_epoch,
-                    fence=self.config_fence,
-                )
-            )
+            self._send_pop_config(bus, dc, tuple(touched_by_dc[dc]))
         return len(touched_by_dc)
 
     # -- fleet views -------------------------------------------------------

@@ -4,12 +4,13 @@ from functools import partial
 
 import pytest
 
-from repro.adapt.controller import AdaptState
+from repro.adapt.controller import AdaptPolicy, AdaptState
 from repro.adapt.soak import classify, run_adapt_session
 from repro.experiments.scenarios import (
     GEO_SATELLITE,
     IOT_RELAY_CHAIN,
     PRESETS,
+    ScenarioPreset,
     run_scenario,
     tcp_baseline_mbps,
 )
@@ -128,3 +129,41 @@ class TestAdaptSoak:
         assert summary["violations"] == []
         assert summary[COMPLETE] + summary[TYPED] == 2
         assert summary["totals"]["sent_generations"] >= summary["totals"]["decoded_generations"] > 0
+
+
+# -- the preset acceptance test (ROADMAP "Finish one harness" (2)) --------------
+# Everything a new chain needs is the data between the two markers; the
+# harness (`build_chain`, `chain_wiring`, `bring_up`, `run_scenario`) is
+# untouched.  The line count is recorded in ROADMAP.md.
+
+# preset-begin
+HOPS = 7
+#: comnetsemu's ``multihop_topo.py``: n hosts in a row, a coding VNF on
+#: every host between client and server, UDP redirected hop by hop.
+MULTIHOP_CHAIN = ScenarioPreset(
+    name="comnetsemu-multihop",
+    nodes=tuple(f"h{i}" for i in range(1, HOPS + 2)),
+    hop_delay_ms=(1.0,) * HOPS,
+    lossy_hops=(),
+    loss_correlation=0.0,
+    capacity_mbps=10.0,
+    data_rate_mbps=2.0,
+    block_bytes=1024,
+    blocks_per_generation=8,
+    policy=AdaptPolicy(),
+)
+# preset-end
+
+
+class TestPresetAcceptance:
+    def test_a_longer_chain_is_preset_data_and_every_generation_decodes(self):
+        result = run_scenario(MULTIHOP_CHAIN, "fixed", 0.0, DURATION, seed=1)
+        assert len(result.daemons) == len(MULTIHOP_CHAIN.relays) == HOPS - 1  # one VNF host per hop
+        # Clean link: no repair traffic, and every generation sent decoded,
+        # in order, but for the few in flight when the horizon fell (a 33 ms
+        # generation clock against 7 ms of propagation + 7 store-and-forwards).
+        assert result.nacks_sent == 0 and result.repair_packets == 0
+        decoded = result.decoded_generations
+        assert sorted(result.receiver.completed) == list(range(decoded))
+        assert decoded > 100 and 0 <= result.sent_generations - decoded <= 3
+        assert result.goodput_mbps == pytest.approx(MULTIHOP_CHAIN.data_rate_mbps, rel=0.05)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.apps.file_transfer import ACK_PORT, ControlRelay, NcReceiverApp, NcSourceApp
+from repro.core.dataplane import Arq, LiveDeployment, bring_up
 from repro.core.forwarding import ForwardingTable
 from repro.core.session import CodingConfig, MulticastSession
 from repro.core.vnf import NC_PORT, CodingVnf, VnfRole
+from repro.experiments import butterfly
 from repro.net import LinkSpec, Topology
 from repro.net.loss import UniformLoss
 from repro.net.packet import Datagram
+from repro.rlnc.redundancy import RedundancyPolicy
 
 
 def line_topology(rng, loss=None, capacity=50.0):
@@ -145,9 +148,29 @@ class TestReliability:
         assert len(receiver.completed) >= 0.95 * source.sent_generations
 
 
+def hostile_payloads(sid):
+    """Thirteen ways to be wrong on an ACK port, for session ``sid``."""
+    return [
+        (),
+        ("nack",),
+        ("cum_ack", sid),
+        ("cum_ack", sid, "dst", 5, "extra"),
+        ("cum_ack", sid, "dst", None),
+        ("nack", sid, 3, 1),
+        ("nack", sid, 3, "one", (0,)),
+        ("nack", sid, 3, 1, None),
+        ("cum_ack", sid + 98, "dst", 5),
+        ("nack", sid + 98, 3, 1, (0,)),
+        ("reset", sid),
+        "cum_ack",
+        None,
+    ]
+
+
 class TestHostileControl:
-    """Whatever tuple lands on the source's ACK port is a counted drop,
-    never an exception out of the event loop (ROADMAP invariants (d))."""
+    """Whatever tuple lands on an ACK port — the source's, or a repairing
+    relay's on the way there — is a counted drop, never an exception out
+    of the event loop (ROADMAP invariants (d))."""
 
     @staticmethod
     def lossy_transfer(hostile=()):
@@ -167,21 +190,7 @@ class TestHostileControl:
     def test_malformed_control_is_counted_and_changes_nothing(self):
         clean_source, clean_completed, clean_decoded = self.lossy_transfer()
         sid = clean_source.session.session_id  # ids are process-global: the next session gets sid + 1
-        hostile = [
-            (),
-            ("nack",),
-            ("cum_ack", sid + 1),
-            ("cum_ack", sid + 1, "dst", 5, "extra"),
-            ("cum_ack", sid + 1, "dst", None),
-            ("nack", sid + 1, 3, 1),
-            ("nack", sid + 1, 3, "one", (0,)),
-            ("nack", sid + 1, 3, 1, None),
-            ("cum_ack", sid + 99, "dst", 5),
-            ("nack", sid + 99, 3, 1, (0,)),
-            ("reset", sid + 1),
-            "cum_ack",
-            None,
-        ]
+        hostile = hostile_payloads(sid + 1)
         source, completed, decoded = self.lossy_transfer(hostile)
         assert source.session.session_id == sid + 1
         assert source.malformed_control == len(hostile)
@@ -189,6 +198,47 @@ class TestHostileControl:
         assert source.repair_packets == clean_source.repair_packets
         assert completed == clean_completed and len(completed) == 120
         assert decoded == clean_decoded
+
+    @staticmethod
+    def lossy_butterfly(hostile=()):
+        """A ``relay_repair`` butterfly, 20 % loss on T->V2; ``hostile``
+        arrives at O1's repairing relay as if O2 had sent it."""
+        topo = butterfly.build_butterfly(loss_on_bottleneck=UniformLoss(0.2), jitter_s=0.0, seed=7)
+        session = butterfly._make_session(4, 1024, RedundancyPolicy(0))
+        live = bring_up(
+            LiveDeployment(topo),
+            session,
+            butterfly.butterfly_wiring(session, 40.0, butterfly._nc_source_shares(40.0, 4, 0)),
+            stream=butterfly.STREAM,
+            seed=7,
+            arq=Arq(window_generations=64),
+            relay_repair=True,
+            total_generations=120,
+        )
+        source, receivers = live.endpoints(session.session_id)
+        for app in receivers.values():
+            app.retain_decoded = True
+        for i, message in enumerate(hostile):
+            dgram = Datagram(src="O2", dst="O1", payload=message, payload_bytes=32, dst_port=ACK_PORT)
+            topo.scheduler.schedule_at(0.05 + 0.04 * i, live.control_relays["O1"]._on_control, dgram)
+        live.start()
+        live.run(4.0)
+        decoded = {
+            (name, g): gen.blocks.tobytes()
+            for name, app in receivers.items()
+            for g, gen in app.decoded_generations.items()
+        }
+        local_repairs = {name: relay.local_repair_packets for name, relay in live.control_relays.items()}
+        return source, local_repairs, decoded
+
+    def test_repairing_relay_forwards_malformed_control_and_serves_none_of_it(self):
+        clean_source, clean_repairs, clean_decoded = self.lossy_butterfly()
+        source, repairs, decoded = self.lossy_butterfly(hostile_payloads(clean_source.session.session_id + 1))
+        # Every payload went upstream (the source counted all thirteen);
+        # none of them was served from the relay's buffer.
+        assert source.malformed_control == 13 and clean_source.malformed_control == 0
+        assert repairs == clean_repairs and sum(repairs.values()) > 0
+        assert decoded == clean_decoded and len(decoded) == 2 * 120
 
 
 class TestMetrics:

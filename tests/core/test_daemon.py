@@ -6,6 +6,7 @@ import pytest
 from repro.core.daemon import VNF_START_LATENCY_S, VnfDaemon
 from repro.core.signals import NcForwardTab, NcSettings, NcVnfEnd, SignalBus
 from repro.core.vnf import CodingVnf, VnfRole
+from repro.fleet import FleetManager, SessionSpec, fleet_of
 
 
 @pytest.fixture
@@ -213,6 +214,45 @@ class TestDuplicateDelivery:
         scheduler.run()
         assert daemon.duplicate_dropped == 0
         assert vnf.roles[1] is VnfRole.RECODER
+
+
+class TestMalformedConfig:
+    """The two controllers speak two dialects of NC_SETTINGS/NC_FORWARD_TAB
+    (ROADMAP "One controller"): the fleet plane's role ``"coder"`` and
+    ``sid:prev->next`` rows are hostile input to a ``VnfDaemon`` — a
+    counted drop, never an exception out of the event loop."""
+
+    def test_daemon_on_a_fleet_bus_refuses_the_dialect_and_keeps_its_stamp(self, scheduler, rng):
+        bus = SignalBus(scheduler, latency_s=0.01)
+        manager = FleetManager(fleet_of(("Chicago", "Denver", "Kansas City")), bus=bus)
+        vnf = CodingVnf("Kansas City", scheduler, rng=rng)
+        daemon = VnfDaemon(vnf, bus)
+        for sid in (1, 2):
+            spec = SessionSpec(
+                session_id=sid, source_city="Chicago", receiver_cities=("Denver",), rate_mbps=10.0
+            )
+            assert manager.admit(spec).admitted
+        scheduler.run(until=1.0)
+        pushed = [r.signal for r in bus.log if isinstance(r.signal, (NcSettings, NcForwardTab))]
+        assert {s.target for s in pushed} == {"Kansas City"}
+        assert max(s.epoch for s in pushed) == 2
+        assert daemon.alive and daemon.malformed_config == len(pushed) == 4
+        assert daemon.config_epoch == 0 and daemon.stale_rejected == 0
+        assert not vnf.roles and not daemon.function_running and daemon.pending_table is None
+        # A refused push left the gate alone: a valid one below its epoch applies.
+        bus.send(NcSettings(target="Kansas City", roles=((1, "recoder"),), epoch=1))
+        bus.send(NcForwardTab(target="Kansas City", table_text="1 Denver\n", epoch=1))
+        scheduler.run(until=2.0)
+        assert vnf.roles[1] is VnfRole.RECODER and daemon.config_epoch == 1
+        assert vnf.forwarding_table.next_hops(1) == ["Denver"]
+        assert daemon.malformed_config == 4 and daemon.stale_rejected == 0
+
+    def test_one_bad_role_refuses_the_whole_settings_signal(self, daemon_setup, scheduler):
+        bus, vnf, daemon = daemon_setup
+        bus.send(NcSettings(target="node1", roles=((1, "recoder"), (2, "coder")), shapes=((1, "hopA", 2),)))
+        scheduler.run()
+        assert daemon.malformed_config == 1
+        assert not vnf.roles and not daemon.function_running
 
 
 class TestVnfEnd:
