@@ -490,7 +490,10 @@ class NcReceiverApp:
 
     def _on_packet(self, dgram: Datagram) -> None:
         packet = dgram.payload
-        if not isinstance(packet, CodedPacket) or packet.session_id != self.session.session_id:
+        if not isinstance(packet, CodedPacket):
+            return
+        header = packet.header
+        if header.session_id != self.session.session_id:
             return
         if not packet.verify():
             # Bit-flipped in flight: dropping it turns corruption into
@@ -500,17 +503,18 @@ class NcReceiverApp:
             return
         self.received_packets += 1
         self._last_packet_at = self.node.scheduler.now
-        gen_id = packet.generation_id
-        self.highest_seen = max(self.highest_seen, gen_id)
+        gen_id = header.generation_id
+        if gen_id > self.highest_seen:
+            self.highest_seen = gen_id
         if gen_id in self.completed:
             self.redundant_packets += 1
             return
         decoder = self._decoders.get(gen_id)
         if decoder is None:
             decoder = Decoder(
-                packet.session_id,
+                header.session_id,
                 gen_id,
-                packet.header.block_count,
+                header.block_count,
                 self._block_bytes,
                 field=self.session.coding.galois_field,
             )

@@ -523,7 +523,7 @@ class Controller:
                 if rate <= 1e-9:
                     continue
                 table = tables.setdefault(u, ForwardingTable())
-                hops = table.next_hops(sid)
+                hops = list(table.next_hops(sid))
                 if v not in hops:
                     hops.append(v)
                     table.set_next_hops(sid, hops)

@@ -68,6 +68,24 @@ CONTROLLER_NAME = "controller"  # the bus address failure reports go to
 SEEN_SIGNALS_LIMIT = 512
 
 
+def _are_session_ids(value: object) -> bool:
+    """NC_SETTINGS ``session_ids``: a sequence of int session ids."""
+    return isinstance(value, (tuple, list)) and all(isinstance(sid, int) for sid in value)
+
+
+def _are_shapes(value: object) -> bool:
+    """NC_SETTINGS ``shapes``: (int session, str next hop, int skip >= 0) triples."""
+    return isinstance(value, (tuple, list)) and all(
+        isinstance(shape, tuple)
+        and len(shape) == 3
+        and isinstance(shape[0], int)
+        and isinstance(shape[1], str)
+        and isinstance(shape[2], int)
+        and shape[2] >= 0
+        for shape in value
+    )
+
+
 class VnfDaemon:
     """Control-plane agent colocated with one coding VNF."""
 
@@ -219,11 +237,16 @@ class VnfDaemon:
         return self._config_gate.accepts(fence, epoch)
 
     def _on_settings(self, signal: NcSettings) -> None:
-        # Validate before the gate: a refused config must not advance the
-        # (fence, epoch) stamp and shadow the valid push that follows it.
+        # Validate the whole signal before the gate: a refused config
+        # must not advance the (fence, epoch) stamp and shadow the valid
+        # push that follows it, nor be half applied when a later field
+        # turns out bad.
         try:
             roles = [(session_id, VnfRole(role_name)) for session_id, role_name in signal.roles]
-        except ValueError:
+        except (TypeError, ValueError):
+            self.malformed_config += 1
+            return
+        if not (_are_session_ids(signal.session_ids) and _are_shapes(signal.shapes)):
             self.malformed_config += 1
             return
         if not self._accepts_config(signal.fence, signal.epoch):

@@ -15,7 +15,7 @@ reproduce Tab. III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ForwardingTableError(ValueError):
@@ -40,9 +40,13 @@ class ForwardingTable:
 
     # -- queries ---------------------------------------------------------
 
-    def next_hops(self, session_id: int) -> list[str]:
-        """Next-hop node names for a session (empty = sink/no route)."""
-        return list(self.entries.get(session_id, []))
+    def next_hops(self, session_id: int) -> Sequence[str]:
+        """Next-hop node names for a session (empty = sink/no route).
+
+        The table's own row, not a copy — a VNF reads it once per packet:
+        change a session's hops through :meth:`set_next_hops`.
+        """
+        return self.entries.get(session_id, [])
 
     def sessions(self) -> list[int]:
         return sorted(self.entries)

@@ -87,6 +87,9 @@ class CodingVnf(Node):
         self.coding_capacity_mbps = coding_capacity_mbps
         self.coding_overhead_s = coding_overhead_s
         self.nic = PollModeNic()
+        # The poll-mode NIC is frozen and rate-independent: its
+        # per-packet cost is a constant of the VNF.
+        self._nic_s = self.nic.cpu_seconds_per_packet()
         self.update_model = ForwardingUpdateModel()
         self.payload_mode = payload_mode
         self._rng = rng if rng is not None else derive_rng("core.vnf", name)
@@ -292,7 +295,7 @@ class CodingVnf(Node):
         — the part of the Kodo pipeline that does not amortize), which is
         what produces the paper's 0.9–1.5 % relayed-path delay increment.
         """
-        service = self.nic.cpu_seconds_per_packet()
+        service = self._nic_s
         if role is not VnfRole.FORWARDER:
             service += dgram.wire_bits / (self.coding_capacity_mbps * 1e6) + self.coding_overhead_s
         return service
@@ -304,10 +307,14 @@ class CodingVnf(Node):
         role = self.roles.get(packet.header.session_id)
         if role is None:
             return  # unknown session: drop (no NC_SETTINGS received)
-        start = max(self.scheduler.now, self._busy_until)
-        finish = start + self._service_time(dgram, role)
-        self._busy_until = finish
-        self.scheduler.schedule_at(finish, self._handle_packet, packet, dgram.payload_bytes)
+        scheduler = self.scheduler
+        now = scheduler.now
+        start = self._busy_until
+        if now > start:
+            start = now
+        finish = self._busy_until = start + self._service_time(dgram, role)
+        # schedule_at's own arithmetic, without its extra call frame.
+        scheduler.schedule(finish - now, self._handle_packet, packet, dgram.payload_bytes)
 
     def _handle_packet(self, packet: CodedPacket, payload_bytes: int) -> None:
         if not packet.verify():
@@ -328,9 +335,9 @@ class CodingVnf(Node):
             self._decode(packet)
 
     def _forward(self, packet: CodedPacket, payload_bytes: int) -> None:
-        for hop in self.forwarding_table.next_hops(packet.session_id):
+        for hop in self.forwarding_table.next_hops(packet.header.session_id):
             self.emitted_packets += 1
-            self.send(hop, packet, payload_bytes, dst_port=NC_PORT)
+            self.send(hop, packet, payload_bytes, NC_PORT)
 
     def _recode_and_forward(self, original: CodedPacket, payload_bytes: int) -> None:
         header = original.header
@@ -381,26 +388,32 @@ class CodingVnf(Node):
                 self.duplicate_dropped += 1
                 return
             first = False
+        # Default pipelining: one packet out per packet in on every next
+        # hop, the very first packet of a generation forwarded verbatim.
+        # A shaped hop instead skips its first ``skip`` arrivals and
+        # then always emits a fresh recode.
         shapes = self._hop_shapes[session_id]
-        plan: list[tuple[str, bool]] = []  # (emitting hop, send a fresh recode?)
-        recodes = 0
-        for hop in self.forwarding_table.next_hops(session_id):
-            skip = shapes.get(hop)
-            if skip is None:
-                # Default pipelining: one packet out per packet in; the
-                # very first packet of a generation is forwarded verbatim.
-                plan.append((hop, not first))
-                recodes += not first
-                continue
-            arrivals = relay.hop_progress[hop] = relay.hop_progress.get(hop, 0) + 1
-            if arrivals > skip:
-                plan.append((hop, True))
-                recodes += 1
+        emitting = self.forwarding_table.next_hops(session_id)
+        if shapes:
+            progress = relay.hop_progress
+            unskipped: list[str] = []
+            for hop in emitting:
+                skip = shapes.get(hop)
+                if skip is not None:
+                    arrivals = progress[hop] = progress.get(hop, 0) + 1
+                    if arrivals <= skip:
+                        continue
+                unskipped.append(hop)
+            emitting = unskipped
+        if not first:
+            recodes = len(emitting)
+        else:
+            recodes = sum(hop in shapes for hop in emitting)
         # One draw and one product cover every hop that emits a recode.
         fresh_recodes = iter(recoder.recode_batch(recodes))
-        for hop, recoded in plan:
-            self.emitted_packets += 1
-            self.send(hop, next(fresh_recodes) if recoded else original, payload_bytes, dst_port=NC_PORT)
+        self.emitted_packets += len(emitting)
+        for hop in emitting:
+            self.send(hop, next(fresh_recodes) if not first or hop in shapes else original, payload_bytes, NC_PORT)
 
     def _decode(self, packet: CodedPacket) -> None:
         header = packet.header
@@ -448,7 +461,7 @@ class CodingVnf(Node):
             # destinations", §III-A).
             for hop in self.forwarding_table.next_hops(session_id):
                 self.emitted_packets += 1
-                self.send(hop, generation, generation.size_bytes, dst_port=NC_PORT)
+                self.send(hop, generation, generation.size_bytes, NC_PORT)
 
     # -- introspection --------------------------------------------------------
 

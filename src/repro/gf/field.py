@@ -308,7 +308,7 @@ class GaloisField:
         elif c == 1:
             np.copyto(out, vec)
         else:
-            np.take(self.mul_row(c), vec, out=out)
+            self.mul_row(c).take(vec, out=out)
         return out
 
     def addmul_into(
@@ -331,7 +331,7 @@ class GaloisField:
             return acc
         if scratch is None or scratch.shape != vec.shape or scratch.dtype != self.dtype:
             scratch = np.empty_like(vec)
-        np.take(self.mul_row(c), vec, out=scratch)
+        self.mul_row(c).take(vec, out=scratch)
         np.bitwise_xor(acc, scratch, out=acc)
         return acc
 

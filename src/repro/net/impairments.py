@@ -79,15 +79,9 @@ def corrupt_coded_packet(
 
 
 def _copy_with_payload(dgram: Datagram, payload: object) -> Datagram:
-    """A fresh datagram (new dgram_id) carrying ``payload`` on the same flow."""
+    """A fresh datagram carrying ``payload`` on the same flow."""
     return Datagram(
-        src=dgram.src,
-        dst=dgram.dst,
-        payload=payload,
-        payload_bytes=dgram.payload_bytes,
-        dst_port=dgram.dst_port,
-        src_port=dgram.src_port,
-        created_at=dgram.created_at,
+        dgram.src, dgram.dst, payload, dgram.payload_bytes, dgram.dst_port, dgram.src_port, dgram.created_at
     )
 
 
@@ -141,8 +135,7 @@ class BitFlipCorruption(Impairment):
 class Duplication(Impairment):
     """Deliver an extra copy of a packet with probability ``rate``.
 
-    The copy is a fresh datagram (own dgram_id, own jitter draw on
-    delivery) sharing the original payload — receivers must tolerate the
+    The copy is a fresh datagram (own jitter draw on delivery) sharing the original payload — receivers must tolerate the
     same coded packet arriving twice.
     """
 

@@ -192,16 +192,19 @@ class Link:
         if not self.is_up:
             stats.dropped_down += 1
             return False
-        if self._backlog_bytes + wire_bytes > self.queue_bytes:
+        backlog = self._backlog_bytes + wire_bytes
+        if backlog > self.queue_bytes:
             stats.dropped_queue += 1
             return False
-        now = self.scheduler.now
-        start = max(now, self._tx_free_at)
-        tx_time = 8 * wire_bytes / self.capacity_bps
-        finish = start + tx_time
-        self._tx_free_at = finish
-        self._backlog_bytes += wire_bytes
-        self.scheduler.schedule_at(finish, self._transmitted, dgram, self._epoch)
+        scheduler = self.scheduler
+        now = scheduler.now
+        start = self._tx_free_at
+        if now > start:
+            start = now
+        finish = self._tx_free_at = start + dgram.wire_bits / self.capacity_bps
+        self._backlog_bytes = backlog
+        # schedule_at's own arithmetic, without its extra call frame.
+        scheduler.schedule(finish - now, self._transmitted, dgram, self._epoch)
         return True
 
     def _transmitted(self, dgram: Datagram, epoch: int) -> None:
@@ -209,41 +212,40 @@ class Link:
         if epoch != self._epoch:
             self.stats.dropped_down += 1
             return
-        if self.loss.drop(self._rng):
+        rng = self._rng
+        if self.loss.drop(rng):
             self.stats.dropped_loss += 1
             return
-        if not self.impairments:
-            self._propagate(dgram, epoch)
-            return
-        delivered = [dgram]
+        delivered: tuple[Datagram, ...] | list[Datagram] = (dgram,)
         for impairment in self.impairments:
             survivors: list[Datagram] = []
             for d in delivered:
-                survivors.extend(impairment.apply(d, self._rng, self.stats))
+                survivors.extend(impairment.apply(d, rng, self.stats))
             delivered = survivors
             if not delivered:
                 return
+        jitter = self.jitter_s
+        schedule = self.scheduler.schedule
         for d in delivered:
-            self._propagate(d, epoch)
-
-    def _propagate(self, dgram: Datagram, epoch: int) -> None:
-        delay = self.delay_s
-        if self.jitter_s > 0:
-            # Uniform one-sided jitter, drawn per delivered copy so
-            # duplicates reorder against their originals; reordering
-            # across packets is the point (the Fig. 5 buffer study
-            # depends on it).
-            delay += self.jitter_s * self._rng.random()
-        self.scheduler.schedule(delay, self._arrive, dgram, epoch)
+            delay = self.delay_s
+            if jitter > 0:
+                # Uniform one-sided jitter, drawn per delivered copy so
+                # duplicates reorder against their originals; reordering
+                # across packets is the point (the Fig. 5 buffer study
+                # depends on it).
+                delay += jitter * rng.random()
+            schedule(delay, self._arrive, d, epoch)
 
     def _arrive(self, dgram: Datagram, epoch: int) -> None:
+        stats = self.stats
         if epoch != self._epoch:
-            self.stats.dropped_down += 1
+            stats.dropped_down += 1
             return
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += dgram.wire_bytes
-        assert self._deliver is not None  # send() refuses unconnected links
-        self._deliver(dgram)
+        stats.delivered_packets += 1
+        stats.delivered_bytes += dgram.wire_bytes
+        deliver = self._deliver
+        assert deliver is not None  # send() refuses unconnected links
+        deliver(dgram)
 
     # -- introspection ---------------------------------------------------
 

@@ -50,12 +50,6 @@ class Node:
         """Destinations reachable over a direct outgoing link."""
         return list(self._out)
 
-    def link_to(self, dst: str) -> Link:
-        try:
-            return self._out[dst]
-        except KeyError:
-            raise KeyError(f"{self.name} has no link to {dst}") from None
-
     # -- sockets ---------------------------------------------------------
 
     def listen(self, port: int, handler: Handler) -> None:
@@ -75,15 +69,11 @@ class Node:
 
     def send(self, dst: str, payload: Any, payload_bytes: int, dst_port: int = 0) -> bool:
         """Send one datagram to a directly connected neighbour."""
-        dgram = Datagram(
-            src=self.name,
-            dst=dst,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            dst_port=dst_port,
-            created_at=self.scheduler.now,
-        )
-        return self.link_to(dst).send(dgram)
+        dgram = Datagram(self.name, dst, payload, payload_bytes, dst_port, 0, self.scheduler.now)
+        link = self._out.get(dst)
+        if link is None:
+            raise KeyError(f"{self.name} has no link to {dst}")
+        return link.send(dgram)
 
     def _on_receive(self, dgram: Datagram) -> None:
         self.received_packets += 1

@@ -11,17 +11,13 @@ mode (tiny arrays, real linear algebra) while still charging full
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 IP_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
+_HEADER_BYTES = UDP_HEADER_BYTES + IP_HEADER_BYTES
 
-_dgram_ids = itertools.count()
 
-
-@dataclass
 class Datagram:
     """One UDP/IP packet in flight.
 
@@ -37,32 +33,48 @@ class Datagram:
     dst_port:
         UDP destination port; coding VNFs listen on a designated port
         (paper §III-A).
+    wire_bytes, wire_bits:
+        Total on-the-wire size (payload + UDP + IP headers), fixed at
+        construction: every link a datagram crosses charges it, so it is
+        computed once, not once per read.
+
+    A datagram is a record with identity equality: a duplicate made on
+    the wire is a distinct object carrying the same fields.
     """
 
-    src: str
-    dst: str
-    payload: Any
-    payload_bytes: int
-    dst_port: int = 0
-    src_port: int = 0
-    dgram_id: int = field(default_factory=lambda: next(_dgram_ids))
-    created_at: float = 0.0
+    __slots__ = (
+        "src",
+        "dst",
+        "payload",
+        "payload_bytes",
+        "dst_port",
+        "src_port",
+        "created_at",
+        "wire_bytes",
+        "wire_bits",
+    )
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        payload_bytes: int,
+        dst_port: int = 0,
+        src_port: int = 0,
+        created_at: float = 0.0,
+    ) -> None:
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total on-the-wire size: payload + UDP + IP headers."""
-        return self.payload_bytes + UDP_HEADER_BYTES + IP_HEADER_BYTES
-
-    @property
-    def wire_bits(self) -> int:
-        return 8 * self.wire_bytes
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.dst_port = dst_port
+        self.src_port = src_port
+        self.created_at = created_at
+        wire_bytes = self.wire_bytes = payload_bytes + _HEADER_BYTES
+        self.wire_bits = 8 * wire_bytes
 
     def __repr__(self) -> str:
-        return (
-            f"Datagram(#{self.dgram_id} {self.src}->{self.dst}:{self.dst_port}, "
-            f"{self.payload_bytes}B payload)"
-        )
+        return f"Datagram({self.src}->{self.dst}:{self.dst_port}, {self.payload_bytes}B payload)"

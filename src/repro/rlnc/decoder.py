@@ -94,10 +94,14 @@ class Decoder:
         rows = self._rows
         pivot_rows = self._pivot_rows
         work = self._work
+        scratch = self._scratch
+        mul = field.MUL
+        xor = np.bitwise_xor
         work[:k] = coefficients
         work[k:] = payload
 
-        # Reduce against existing pivots, in place.
+        # Reduce against existing pivots, in place: work ^= factor * row,
+        # the product gathered off the factor's MUL row into scratch.
         for col in range(k):
             factor = work.item(col)
             if not factor:
@@ -109,7 +113,11 @@ class Decoder:
                 field.scale_into(field.scalar_inv(factor), work, rows[slot])
                 pivot_rows[col] = slot
                 return True
-            field.addmul_into(work, factor, rows[row], scratch=self._scratch)
+            if factor == 1:
+                xor(work, rows[row], out=work)
+            else:
+                mul[factor].take(rows[row], out=scratch)
+                xor(work, scratch, out=work)
         # Reduced to zero: linearly dependent.
         self.redundant += 1
         return False

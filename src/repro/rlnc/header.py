@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -49,6 +48,8 @@ _HEAD = struct.Struct("!HIBB")
 #: Full fixed header including the CRC32 word.
 _FIXED = struct.Struct("!HIBBI")
 _CRC = struct.Struct("!I")
+
+_UINT8 = np.dtype(np.uint8)
 
 FLAG_SYSTEMATIC = 0x01
 
@@ -109,7 +110,6 @@ def packet_struct(block_count: int, payload_bytes: int) -> struct.Struct:
     return cached
 
 
-@dataclass(frozen=True, eq=False)
 class NCHeader:
     """Parsed NC header.
 
@@ -124,22 +124,44 @@ class NCHeader:
     systematic:
         True when the packet carries an original (uncoded) block; the
         coefficient vector is then a unit vector.
+
+    A slotted record, built once per emitted packet: a coefficient
+    vector that already is a 1-D ``uint8`` array is kept as given (no
+    copy, no re-wrap); anything else is coerced with ``np.asarray``.
+    Headers are shared between the packets that carry them, so nothing
+    assigns to a header after construction.
     """
 
-    session_id: int
-    generation_id: int
-    coefficients: npt.NDArray[np.uint8]
-    systematic: bool = False
+    __slots__ = ("session_id", "generation_id", "coefficients", "systematic")
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=np.uint8)
-        object.__setattr__(self, "coefficients", coeffs)
-        if not 0 <= self.session_id < 1 << 16:
-            raise ValueError(f"session_id {self.session_id} out of range for 16 bits")
-        if not 0 <= self.generation_id < 1 << 32:
-            raise ValueError(f"generation_id {self.generation_id} out of range for 32 bits")
+    def __init__(
+        self,
+        session_id: int,
+        generation_id: int,
+        coefficients: npt.ArrayLike,
+        systematic: bool = False,
+    ) -> None:
+        coeffs: npt.NDArray[np.uint8] = (
+            coefficients
+            if isinstance(coefficients, np.ndarray) and coefficients.dtype is _UINT8
+            else np.asarray(coefficients, dtype=np.uint8)
+        )
+        if not 0 <= session_id < 1 << 16:
+            raise ValueError(f"session_id {session_id} out of range for 16 bits")
+        if not 0 <= generation_id < 1 << 32:
+            raise ValueError(f"generation_id {generation_id} out of range for 32 bits")
         if coeffs.ndim != 1 or not 1 <= coeffs.shape[0] <= 255:
             raise ValueError("coefficient vector must be 1-D with 1..255 entries")
+        self.session_id = session_id
+        self.generation_id = generation_id
+        self.coefficients = coeffs
+        self.systematic = systematic
+
+    def __repr__(self) -> str:
+        return (
+            f"NCHeader(session_id={self.session_id!r}, generation_id={self.generation_id!r}, "
+            f"coefficients={self.coefficients!r}, systematic={self.systematic!r})"
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -152,7 +174,7 @@ class NCHeader:
 
     @property
     def block_count(self) -> int:
-        return int(self.coefficients.shape[0])
+        return self.coefficients.shape[0]
 
     @property
     def size_bytes(self) -> int:
@@ -198,13 +220,7 @@ class NCHeader:
         if len(data) < end:
             raise ValueError(f"truncated coefficient vector: want {k}, have {len(data) - FIXED_HEADER_BYTES}")
         coeffs = np.frombuffer(data, dtype=np.uint8, count=k, offset=FIXED_HEADER_BYTES).copy()
-        header = cls(
-            session_id=session_id,
-            generation_id=generation_id,
-            coefficients=coeffs,
-            systematic=bool(flags & FLAG_SYSTEMATIC),
-        )
-        return header, end
+        return cls(session_id, generation_id, coeffs, bool(flags & FLAG_SYSTEMATIC)), end
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["NCHeader", bytes]:

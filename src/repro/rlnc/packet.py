@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.typing as npt
 
 from repro.rlnc.header import (
+    _UINT8,
     ChecksumError,
     FLAG_SYSTEMATIC,
     NCHeader,
@@ -23,7 +22,6 @@ class MalformedPacketError(ValueError):
     the wrong generation's state, which is a caller's bug."""
 
 
-@dataclass(eq=False)
 class CodedPacket:
     """One RLNC packet as it travels the data plane.
 
@@ -42,18 +40,29 @@ class CodedPacket:
     so clean runs pay nothing), while an impairment that mutates a copy
     of the packet carries the *pristine* seal along, which is exactly
     what lets a VNF or receiver detect the tampering.
+
+    A slotted record: like :class:`~repro.rlnc.header.NCHeader` it
+    keeps a payload that already is a ``uint8`` array as given and
+    coerces anything else.
     """
 
-    header: NCHeader
-    payload: npt.NDArray[np.uint8]
-    #: CRC32 seal over header prefix + coefficients + payload, or
-    #: ``None`` when the packet has never been sealed (trusted).
-    checksum: int | None = None
+    __slots__ = ("header", "payload", "checksum")
 
-    def __post_init__(self) -> None:
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
-        if self.payload.ndim != 1:
+    def __init__(
+        self, header: NCHeader, payload: npt.ArrayLike, checksum: int | None = None
+    ) -> None:
+        block: npt.NDArray[np.uint8] = (
+            payload
+            if isinstance(payload, np.ndarray) and payload.dtype is _UINT8
+            else np.asarray(payload, dtype=np.uint8)
+        )
+        if block.ndim != 1:
             raise ValueError("payload must be a 1-D byte array")
+        self.header = header
+        self.payload = block
+        #: CRC32 seal over header prefix + coefficients + payload, or
+        #: ``None`` when the packet has never been sealed (trusted).
+        self.checksum = checksum
 
     @property
     def session_id(self) -> int:

@@ -254,6 +254,44 @@ class TestMalformedConfig:
         assert daemon.malformed_config == 1
         assert not vnf.roles and not daemon.function_running
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"shapes": ((1, "hopA", -1),)},  # negative skip
+            {"shapes": ((1, "hopA"),)},  # wrong arity
+            {"shapes": ((1, "hopA", 2, 0),)},
+            {"shapes": (("1", "hopA", 2),)},  # non-int session
+            {"shapes": ((1, 7, 2),)},  # non-str hop
+            {"shapes": ((1, "hopA", 2.5),)},  # non-int skip
+            {"shapes": ((1, "hopA", "2"),)},
+            {"shapes": ("1hopA2",)},  # not a triple
+            {"shapes": 3},  # not iterable
+            {"shapes": None},
+            {"session_ids": 5},  # not iterable
+            {"session_ids": ([1],)},  # unhashable
+            {"session_ids": ("1",)},
+            {"session_ids": (1.0,)},
+        ],
+    )
+    def test_a_bad_field_refuses_the_whole_settings_signal(self, daemon_setup, scheduler, field):
+        bus, vnf, daemon = daemon_setup
+        bus.send(NcSettings(target="node1", roles=((1, "recoder"),), shapes=((1, "hopA", 2),), epoch=1))
+        scheduler.run()
+        assert vnf.roles[1] is VnfRole.RECODER and daemon.config_epoch == 1
+        shapes_before = {sid: dict(hops) for sid, hops in vnf._hop_shapes.items()}
+        # The bad push carries a newer stamp than the valid one behind it.
+        bus.send(NcSettings(target="node1", roles=((1, "decoder"),), epoch=5, fence=1, **field))
+        scheduler.run()  # no exception out of the event loop
+        assert daemon.malformed_config == 1
+        assert (daemon.config_fence, daemon.config_epoch) == (0, 1)
+        assert vnf.roles[1] is VnfRole.RECODER
+        assert vnf._hop_shapes == shapes_before
+        bus.send(NcSettings(target="node1", roles=((1, "forwarder"),), shapes=((1, "hopB", 1),), epoch=2))
+        scheduler.run()
+        assert daemon.malformed_config == 1 and daemon.stale_rejected == 0
+        assert daemon.config_epoch == 2 and vnf.roles[1] is VnfRole.FORWARDER
+        assert vnf._hop_shapes[1] == {"hopA": 2, "hopB": 1}
+
 
 class TestVnfEnd:
     def test_end_unregisters_and_notifies(self, daemon_setup, scheduler):

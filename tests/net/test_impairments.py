@@ -125,7 +125,7 @@ class TestDuplication:
         scheduler.run()
         assert len(delivered) == 2
         assert delivered[0].payload is delivered[1].payload  # same coded packet
-        assert delivered[0].dgram_id != delivered[1].dgram_id
+        assert delivered[0] is not delivered[1]  # two datagrams on the wire
         assert link.stats.duplicated_packets == 1
         assert link.stats.delivered_packets == 2
 
