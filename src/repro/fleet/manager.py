@@ -44,6 +44,16 @@ from repro.routing.paths import Path
 #: A session is admitted only if the LP carries its full rate (minus noise).
 _RATE_TOL = 1e-6
 
+
+def _solver_fault(result: SimplexResult) -> str:
+    """Why a solve returned no plan.
+
+    Every rhs of a session LP is clamped at ≥ 0, so ``x = 0`` is feasible
+    and a failed solve is a fault of the solver, never a fact about capacity.
+    """
+    return f"solver {result.status} after {result.iterations} pivots"
+
+
 INCREMENTAL = "incremental"
 COLD = "cold"
 
@@ -238,7 +248,11 @@ class FleetManager:
                 warm_started=result.warm_started,
                 vnfs_launched=0,
                 epoch=self.config_epoch,
-                reason=f"residual capacity carries {achieved:.3f}/{spec.rate_mbps:.3f} Mbps",
+                reason=(
+                    _solver_fault(result)
+                    if plan is None
+                    else f"residual capacity carries {achieved:.3f}/{spec.rate_mbps:.3f} Mbps"
+                ),
             )
         self.sessions[spec.session_id] = spec
         self._lps[spec.session_id] = lp
@@ -297,6 +311,7 @@ class FleetManager:
             self._install(old)
             self.index.apply(old)
             self._grow_vnfs(old_dcs)
+            why = "replan infeasible" if plan is not None else _solver_fault(result)
             return AdmissionVerdict(
                 session_id=session_id,
                 status=AdmissionStatus.REJECTED_CAPACITY,
@@ -306,7 +321,7 @@ class FleetManager:
                 warm_started=result.warm_started,
                 vnfs_launched=0,
                 epoch=self.config_epoch,
-                reason="replan infeasible; previous routing kept",
+                reason=f"{why}; previous routing kept",
             )
         launched = self._apply(plan)
         return AdmissionVerdict(

@@ -31,10 +31,13 @@ edges and DCs each in sorted order.  Rows, in order:
    and Σ_out g − out_cap·y ≤ slack_out              (2d, patched)
 
 Objective (minimize): −M·λ + α·Σy + 1e-6·Σg + per-path rank tie-break —
-the tie-break makes the optimum a *unique* vertex so warm and cold
-solves land on identical routings, not merely equal objectives, and M
-(sized against the touched DCs' capacities) dominates every other term
-so α only ranks routings and can never refuse a feasible session.
+the tie-break separates most same-λ routings, so warm and cold solves
+usually land on identical routings, not merely equal objectives; it is
+linear in the rank, so two receivers that trade relays can still tie
+(fleet-soak seed 78, session 1: two optimal vertices at equal cost, and
+the pivot rule picks one).  M (sized against the touched DCs'
+capacities) dominates every other term so α only ranks routings and can
+never refuse a feasible session.
 """
 
 from __future__ import annotations
@@ -181,9 +184,8 @@ def compile_shape(key: ShapeKey) -> LPShape:
     a, rhs = a[:row], rhs[:row]
 
     # Objective: carry the rate if at all feasible; the per-g penalty
-    # prefers short routings and the per-path epsilon makes the optimal
-    # vertex unique — warm and cold solves land on the identical routing,
-    # not merely equal objectives.
+    # prefers short routings and the per-path epsilon separates most
+    # same-cost routings (not all: see the module docstring).
     c = np.zeros(n)
     c[1 + n_paths : y_col] = 1e-6
     c[y_col:] = alpha
@@ -260,19 +262,19 @@ class SessionLP:
         }
         nodes = sorted({n for paths in self.paths.values() for p in paths for n in p.nodes})
         rank = {name: i for i, name in enumerate(nodes)}
-        self.touched_dcs: tuple[str, ...] = tuple(n for n in nodes if n in datacenters)
+        self.touched_dcs = touched = tuple(n for n in nodes if n in datacenters)
+        ranks = rank.__getitem__
         key: ShapeKey = (
-            tuple(
-                tuple(tuple(map(rank.__getitem__, p.nodes)) for p in self.paths[recv])
-                for recv in self.receivers
-            ),
+            tuple([tuple([tuple(map(ranks, p.nodes)) for p in self.paths[recv]]) for recv in self.receivers]),
             rank.get(spec.source_host(), -1),
             tuple(rank.get(recv, -1) for recv in self.receivers),
             tuple(
                 (rank[dc], datacenters[dc].in_cap_mbps, datacenters[dc].outbound_mbps)
-                for dc in self.touched_dcs
+                for dc in touched
             ),
-            tuple(sorted((rank[a], rank[b]) for a, b in shared_edges if a in rank and b in rank)),
+            # Shared edges join data centers: the touched ones, in rank order,
+            # meet every shared edge the session can use, already sorted.
+            tuple([(rank[a], rank[b]) for a in touched for b in touched if (a, b) in shared_edges]),
             (access_mbps, source_out_mbps, receiver_in_mbps, alpha),
         )
         self.shape = self._shape_of(key)

@@ -22,7 +22,8 @@ class AdmissionStatus(Enum):
     ADMITTED = "admitted"
     #: No route within the session's delay bound (empty path set).
     REJECTED_INFEASIBLE = "rejected-infeasible"
-    #: Routes exist but residual capacity cannot carry the full rate.
+    #: Routes exist but residual capacity cannot carry the full rate (or the
+    #: solver failed, which the reason then names with its pivot count).
     REJECTED_CAPACITY = "rejected-capacity"
     #: The home shard had no live primary for the whole retry budget —
     #: a typed answer, not a hang (DESIGN.md §14 graceful degradation).

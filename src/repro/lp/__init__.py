@@ -10,8 +10,9 @@ available offline, so this package provides:
   form.
 - a **HiGHS backend** via :func:`scipy.optimize.linprog` (the default),
 - a **dense numpy simplex** (:mod:`repro.lp.simplex`): array-pivot
-  primal simplex that starts from the slack basis when the program is
-  a packing LP and from a cached basis when given one, with two-phase
+  primal simplex (Dantzig pricing, Bland's rule after a run of
+  degenerate pivots) that starts from the slack basis when the program
+  is a packing LP and from a cached basis when given one, with two-phase
   as the general fallback — prepared once per matrix and solved per
   right-hand side (:class:`PreparedProgram`) behind every fleet
   admission, one-shot (:func:`solve_simplex`) as the ``"simplex"``

@@ -13,8 +13,12 @@ no negative shifted rhs (every packing LP the fleet builds) already has
 a feasible basis — its slack columns — so phase 2 starts there on an
 ``(m+1)×(n+m+1)`` tableau; anything else goes through phase 1 with
 ``m`` artificial columns.  A pivot is one rank-1 numpy update (O(rows·
-cols)) and both the entering and the leaving variable follow Bland's
-rule, so the solver cannot cycle.  Dense tableaus suit the few-hundred-
+cols)).  The entering variable is priced by Dantzig's rule (most
+negative reduced cost), which takes about half the pivots Bland's does
+on the fleet's programs; after :data:`DEGENERATE_RUN` degenerate pivots
+in a row it follows Bland's rule until the objective improves again, and
+the leaving variable always breaks ratio ties by the lowest basic index,
+so the solver cannot cycle.  Dense tableaus suit the few-hundred-
 variable programs problem (2) produces on 5–20 data centers; whole-
 fleet programs go to the sparse HiGHS backend.
 
@@ -39,6 +43,10 @@ _EPS = 1e-9
 #: Bases a :class:`PreparedProgram` keeps an inverse for — and so how many a
 #: caller gains by offering; the least recently tried one goes first.
 KEPT_BASES = 4
+
+#: Degenerate pivots in a row after which :func:`_pivot_loop` stops pricing
+#: by Dantzig's rule and enters by Bland's until the objective next improves.
+DEGENERATE_RUN = 16
 
 
 @dataclass
@@ -95,8 +103,9 @@ class PreparedProgram:
         self._bound_at = (np.arange(ub_a.shape[0], m_ub), columns)
         self._slack_at = (np.arange(m_ub), n + np.arange(m_ub))
         self._rhs_shift = np.concatenate([ub_a @ shift, shift[columns], eq_a @ shift])
-        #: basis -> (B⁻¹ or None if unusable, reduced costs optimal); dict order is recency.
-        self._known: dict[Basis, tuple[FloatArray | None, bool]] = {}
+        #: basis -> (B⁻¹ or None if unusable, reduced costs optimal, its columns);
+        #: dict order is recency.
+        self._known: dict[Basis, tuple[FloatArray | None, bool, IntArray]] = {}
 
     def _standard_form(self, neg: npt.NDArray[np.bool_]) -> FloatArray:
         """Dense ``[A | I]`` with the ``neg`` rows negated (their rhs was negative).
@@ -203,8 +212,8 @@ class PreparedProgram:
         known = None if flipped else self._known.pop(basis, None)
         if known is None:
             big_a = self._standard_form(neg)
-            known = (_basis_inverse(big_a, basis), False)
-        binv, settled = known
+            known = (_basis_inverse(big_a, basis), False, np.array(basis, dtype=np.intp))
+        binv, settled, columns = known
         if not flipped:
             self._known[basis] = known
             if len(self._known) > KEPT_BASES:
@@ -212,18 +221,23 @@ class PreparedProgram:
         if binv is None:
             return None
         x_basic = binv @ big_b
-        if not x_basic.min(initial=0.0) >= -1e-7:  # NaN counts as stale
+        if not np.minimum.reduce(x_basic, initial=0.0) >= -1e-7:  # NaN counts as stale
             return None
         vertex = np.maximum(x_basic, 0.0)
-        warm_basis = np.array(basis, dtype=np.intp)
-        if settled:
-            return self._optimal(vertex, warm_basis, 0, warm_started=True)
+        if settled:  # already optimal: read the vertex off, no tableau
+            x = np.zeros(self._dims[1])
+            x[columns] = vertex
+            solution = x[: self._cost.shape[0]] + self._shift
+            return SimplexResult(
+                solution, float(self._cost @ solution), True, "optimal", basis=basis, warm_started=True
+            )
         if big_a is None:
             big_a = self._standard_form(neg)
         tableau = _phase2_tableau(binv @ big_a, vertex, self._cost)
+        warm_basis = columns.copy()  # the pivot loop rewrites it
         _price_out(tableau, warm_basis)
         if not flipped:
-            self._known[basis] = (binv, not (tableau[-1, :-1] < -_EPS).any())
+            self._known[basis] = (binv, not (tableau[-1, :-1] < -_EPS).any(), columns)
         iters, status = _pivot_loop(tableau, warm_basis, max_iter)
         if status == "optimal":
             return self._optimal(tableau[:-1, -1], warm_basis, iters, warm_started=True)
@@ -339,25 +353,38 @@ def _basis_inverse(big_a: FloatArray, basis: Basis) -> FloatArray | None:
 
 
 def _pivot_loop(tableau: FloatArray, basis: IntArray, max_iter: int) -> tuple[int, str]:
-    """Run simplex pivots until optimal/unbounded; Bland's rule."""
+    """Run simplex pivots until optimal/unbounded.
+
+    Dantzig pricing: the most negative reduced cost enters, the lowest
+    index winning ties.  After :data:`DEGENERATE_RUN` degenerate pivots in
+    a row the entering variable follows Bland's rule instead, until a pivot
+    strictly improves the objective.  The leaving row always goes to the
+    lowest basic index among ratio ties, so a Bland stretch cannot cycle
+    and the objective strictly falls between stretches: the loop ends.
+    """
     m = tableau.shape[0] - 1
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
-    ratios = np.empty(m)
+    degenerate = 0
     for iteration in range(max_iter):
-        candidates = (obj < -_EPS).nonzero()[0]
-        if candidates.size == 0:
-            return iteration, "optimal"
-        col = int(candidates[0])  # Bland: smallest index
+        if degenerate < DEGENERATE_RUN:
+            col = int(obj.argmin())
+            if not obj[col] < -_EPS:
+                return iteration, "optimal"
+        else:
+            candidates = (obj < -_EPS).nonzero()[0]
+            if candidates.size == 0:
+                return iteration, "optimal"
+            col = int(candidates[0])
         column = tableau[:m, col]
-        ratios.fill(np.inf)
-        np.divide(rhs, column, out=ratios, where=column > _EPS)
-        best = ratios.min(initial=np.inf)
-        if not best < np.inf:  # no row limits the entering variable
+        rows = (column > _EPS).nonzero()[0]
+        if rows.size == 0:  # no row limits the entering variable
             return iteration, "unbounded"
-        # Bland tie-break on the leaving variable as well.
-        tied = (ratios <= best + _EPS).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + _EPS]
         row = int(tied[basis[tied].argmin()])
+        degenerate = degenerate + 1 if best <= _EPS else 0
         _pivot(tableau, basis, row, col)
     return max_iter, "iteration limit"
 

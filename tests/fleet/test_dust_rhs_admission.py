@@ -7,7 +7,10 @@ the two-phase simplex, session 539 of this churn came back "optimal" at
 tie-break picked among the tableau's many degenerate rows — and was
 ``REJECTED_CAPACITY`` ("residual capacity carries 0.000/5.000 Mbps")
 while HiGHS carries the full rate on the same matrices.  From the slack
-basis the same program takes 31 pivots and lands on HiGHS's vertex.
+basis the same program took 31 pivots and landed on HiGHS's vertex.
+Since Dantzig pricing replaced Bland's rule the slack start takes 17
+pivots and the two-phase path 89–106, on HiGHS's λ every time (the last
+test below forces it 30 ways).
 The churn is the benchmark's ``plane-churn-failover`` recipe at seed
 105 with the fleet benchmark's 1 Gbps PoPs; the benchmark itself
 side-steps the case with 10 Gbps ones.
@@ -20,7 +23,7 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.fleet import planner
-from repro.lp.simplex import PreparedProgram
+from repro.lp.simplex import PreparedProgram, solve_simplex
 from tests.fleet.churn_recipe import drive_churn_recipe
 
 SEED = 105
@@ -79,3 +82,42 @@ def test_highs_carries_the_witness_rate_on_the_same_matrices(churned_plane):
     assert highs.x[0] == pytest.approx(verdict.requested_mbps, abs=1e-9)
     assert verdict.lambda_mbps == pytest.approx(highs.x[0], abs=1e-9)
     assert np.all(np.asarray(witness["b_ub"]) >= 0.0)  # a packing LP: the slack start applies
+
+
+def _two_phase_variants(witness):
+    """The witness program forced off the slack start, 30 ways.
+
+    Each of its zero rhs entries set to −6e-12 (the dust a full PoP
+    leaves), and once exact with a redundant ``0·x = 0`` equality row.
+    """
+    c, a, b = witness["c"], witness["a_ub"], np.asarray(witness["b_ub"])
+    zeros = np.flatnonzero(b == 0.0)
+    assert zeros.size == 29
+    for i in zeros:
+        dusty = b.copy()
+        dusty[i] = -6e-12
+        yield f"b[{i}] = -6e-12", dict(c=c, a_ub=a, b_ub=dusty)
+    yield "0·x = 0", dict(c=c, a_ub=a, b_ub=b, a_eq=np.zeros((1, len(c))), b_eq=np.zeros(1))
+
+
+def test_the_two_phase_path_carries_the_witness_rate(churned_plane):
+    # Bland's rule took 388–391 pivots here and stopped at λ = 0 on 9 of the
+    # 30 variants; HiGHS carries 5 Mbps on every one.
+    _, _, witness = churned_plane
+    wrong = []
+    for name, program in _two_phase_variants(witness):
+        highs = linprog(
+            program["c"],
+            A_ub=program["a_ub"],
+            b_ub=program["b_ub"],
+            A_eq=program.get("a_eq"),
+            b_eq=program.get("b_eq"),
+            bounds=(0.0, None),
+            method="highs",
+        )
+        assert highs.status == 0 and highs.x[0] == pytest.approx(5.0, abs=1e-9)
+        ours = solve_simplex(**program)
+        assert ours.success, (name, ours.status)
+        if abs(ours.x[0] - highs.x[0]) > 1e-9:
+            wrong.append((name, float(ours.x[0]), ours.iterations))
+    assert wrong == []

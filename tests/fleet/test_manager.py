@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.signals import SignalBus
 from repro.fleet import AdmissionStatus, FleetManager, SessionSpec, fleet_of
+from repro.lp.simplex import PreparedProgram, SimplexResult
 from repro.net.events import EventScheduler
 
 DC_CITIES = ["Seattle", "Denver", "Chicago", "Houston", "New York"]
@@ -139,6 +141,35 @@ class TestReplan:
         hits_before = m.warm_hits
         m.replan_session(1)
         assert m.warm_hits > hits_before
+
+
+class TestSolverFault:
+    """A failed solve is named as the solver's fault, not read as residual capacity."""
+
+    @staticmethod
+    def fail_every_solve(monkeypatch: pytest.MonkeyPatch) -> None:
+        def fail(program, *args, **kwargs) -> SimplexResult:
+            return SimplexResult(np.zeros(program._cost.shape[0]), 0.0, False, "iteration limit", 20000)
+
+        monkeypatch.setattr(PreparedProgram, "solve", fail)
+
+    def test_admit_names_the_solver_status(self, monkeypatch: pytest.MonkeyPatch):
+        m = make_manager()
+        self.fail_every_solve(monkeypatch)
+        v = m.admit(spec(1))
+        assert v.status is AdmissionStatus.REJECTED_CAPACITY and v.lambda_mbps == 0.0
+        assert v.reason == "solver iteration limit after 20000 pivots"
+        assert m.active_sessions == 0
+
+    def test_replan_names_the_solver_status_and_keeps_the_routing(self, monkeypatch: pytest.MonkeyPatch):
+        m = make_manager()
+        m.admit(spec(1))
+        tables = m.forwarding_tables()
+        self.fail_every_solve(monkeypatch)
+        v = m.replan_session(1)
+        assert v.status is AdmissionStatus.REJECTED_CAPACITY
+        assert v.reason == "solver iteration limit after 20000 pivots; previous routing kept"
+        assert m.forwarding_tables() == tables and m.active_sessions == 1
 
 
 class TestEpochsAndSignals:

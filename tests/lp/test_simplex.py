@@ -54,7 +54,7 @@ class TestDirectInterface:
         assert res.objective == pytest.approx(5.0)
 
     def test_degenerate_no_cycle(self):
-        # Klee-Minty-flavoured degeneracy: Bland's rule must terminate.
+        # Klee-Minty-flavoured degeneracy: the pivot rule must terminate.
         res = solve_simplex(
             c=np.array([-1.0, -1.0, -1.0]),
             a_ub=np.array([[1.0, 0, 0], [1.0, 1.0, 0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),

@@ -2,11 +2,13 @@
 
 Two independent oracles guard the simplex rewrite:
 
-- the *row-loop reference* below — the per-row ``_pivot`` and the
-  list-comprehension ratio test the solver used before its pivots became
-  array operations.  It lives only here; every ``_pivot_loop`` the solver
-  runs is shadowed by it on a copy of the tableau and must leave the
-  identical tableau, basis, iteration count and status;
+- the *row-loop reference* below — the per-row ``_pivot`` the solver
+  used before its pivots became array operations, and the pivot rule
+  (Dantzig pricing, Bland's after ``DEGENERATE_RUN`` degenerate pivots)
+  written out as plain loops and comprehensions.  It lives only here;
+  every ``_pivot_loop`` the solver runs is shadowed by it on a copy of
+  the tableau and must leave the identical tableau, basis, iteration
+  count and status;
 - HiGHS, and the solver's own two-phase path (forced by a redundant
   ``0·x = 0`` equality row), against the slack start on packing LPs.
 """
@@ -21,6 +23,7 @@ from scipy.optimize import linprog
 
 from repro.lp import simplex
 from repro.lp.simplex import solve_simplex
+from tests.lp.test_pivot_rule import BEALE
 
 _EPS = simplex._EPS
 
@@ -38,22 +41,27 @@ def _reference_pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) 
 
 def _reference_pivot_loop(tableau: np.ndarray, basis: list[int], max_iter: int) -> tuple[int, str]:
     m = tableau.shape[0] - 1
+    degenerate = 0
     for iteration in range(max_iter):
-        obj = tableau[m, :-1]
-        candidates = np.nonzero(obj < -_EPS)[0]
-        if candidates.size == 0:
-            return iteration, "optimal"
-        col = int(candidates[0])
-        column = tableau[:m, col]
-        rhs = tableau[:m, -1]
-        ratios = np.full(m, np.inf)
-        positive = column > _EPS
-        ratios[positive] = rhs[positive] / column[positive]
-        if not np.isfinite(ratios).any():
+        obj = tableau[m, :-1].tolist()
+        if degenerate < simplex.DEGENERATE_RUN:
+            # Dantzig: the most negative reduced cost, the lowest index on ties.
+            col = min(range(len(obj)), key=lambda j: (obj[j], j))
+            if not obj[col] < -_EPS:
+                return iteration, "optimal"
+        else:
+            # Bland: the lowest index that improves.
+            candidates = [j for j in range(len(obj)) if obj[j] < -_EPS]
+            if not candidates:
+                return iteration, "optimal"
+            col = candidates[0]
+        ratios = {i: tableau[i, -1] / tableau[i, col] for i in range(m) if tableau[i, col] > _EPS}
+        if not ratios:
             return iteration, "unbounded"
-        best = float(ratios.min())
-        tied = [i for i in range(m) if ratios[i] <= best + _EPS]
+        best = min(ratios.values())
+        tied = [i for i, ratio in ratios.items() if ratio <= best + _EPS]
         row = min(tied, key=lambda i: basis[i])
+        degenerate = degenerate + 1 if best <= _EPS else 0
         _reference_pivot(tableau, basis, row, col)
     return max_iter, "iteration limit"
 
@@ -118,6 +126,7 @@ _SUITE_PROGRAMS: list[dict[str, object]] = [
         a_ub=[[1.0, 0, 0], [1.0, 1.0, 0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
         b_ub=[1.0, 1.0, 1.0, 1.0],
     ),
+    BEALE,  # sixteen degenerate pivots, then a Bland stretch
 ]
 
 
