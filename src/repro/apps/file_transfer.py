@@ -25,7 +25,9 @@ Reliability model (matching a windowed UDP file transfer):
   carries the number of missing degrees of freedom and (for the uncoded
   mode) the missing block indices.
 * On NACK the source emits fresh coded packets (or the named original
-  blocks) for that generation down every outgoing link.
+  blocks) for that generation back down the hop the NACK came up.
+* A receiver's NACK retry clock is RFC 6298's RTO over its own
+  NACK → decode times, doubling per retry up to ``MAX_RTO_BACKOFF``.
 
 ``payload_mode="coefficients-only"`` runs the full coding control flow
 (real coefficient algebra, real decodability) with tiny payload arrays,
@@ -54,6 +56,13 @@ from repro.util.rng import derive_rng
 
 ACK_PORT = 52018
 CONTROL_PAYLOAD_BYTES = 64
+#: The NACK retry clock before its first sample (≈ 2.3 relayed RTTs of
+#: Tab. II), and the cap on its ×2-per-retry backoff, in RTOs.
+INITIAL_RTO_S = 0.4
+MAX_RTO_BACKOFF = 8
+#: NACKs per generation a receiver sends / a repairing relay serves locally.
+MAX_NACKS_PER_GENERATION = 8
+MAX_SERVED_NACKS_PER_GENERATION = 2
 
 
 def _make_generation(generation_id: int, blocks: int, block_bytes: int, rng: np.random.Generator) -> Generation:
@@ -155,12 +164,9 @@ class NcSourceApp:
         self._cache: "OrderedDict[int, Generation]" = OrderedDict()
         self._cache_limit = cache_generations
         self._repair_debt_s = 0.0          # pacing debt repairs owe the data stream
-        self._repair_rr = 0                # round-robin link index for repairs
-        # (next_hop, packet), drained paced from the head
-        self._repair_queue: deque[tuple[str, CodedPacket]] = deque()
-        self._repair_drain_running = False
-        self._last_repair_at: dict[int, float] = {}
-        self.repair_dedupe_s = 0.08        # collapse duplicate NACKs (two receivers)
+        # next_hop -> repairs still to send, each hop drained paced from
+        # its head; a hop is present only while its drain is scheduled.
+        self._repair_queues: dict[str, deque[CodedPacket]] = {}
         node.listen(ACK_PORT, self._on_control)
 
     def start(self) -> None:
@@ -248,7 +254,7 @@ class NcSourceApp:
                 self._stalled = False
                 self.node.scheduler.schedule(0.0, self._emit_generation)
         elif _is_nack(message):
-            self._repair(message[2], message[3], message[4])
+            self._repair(message[2], message[3], message[4], dgram.src)
         else:
             self.malformed_control += 1
 
@@ -367,61 +373,47 @@ class NcSourceApp:
         while len(self._cache) > self._cache_limit:
             self._cache.popitem(last=False)
 
-    def _repair(self, generation_id: int, missing_dof: int, missing_indices: tuple) -> None:
+    def _repair(self, generation_id: int, missing_dof: int, missing_indices: tuple, via: str) -> None:
         generation = self._cache.get(generation_id)
         if generation is None:
             return  # too old; the receiver will eventually give up
-        now = self.node.scheduler.now
-        last = self._last_repair_at.get(generation_id, -1e9)
-        if now - last < self.repair_dedupe_s:
-            return  # both receivers NACKed the same generation; one repair serves all
-        self._last_repair_at[generation_id] = now
-        if len(self._last_repair_at) > 8192:
-            cutoff = now - 10.0
-            self._last_repair_at = {g: t for g, t in self._last_repair_at.items() if t > cutoff}
+        # Back down the hop the NACK came up: receivers on disjoint
+        # branches each get their own repair.  A NACK from a node that is
+        # no longer a next hop (it crossed a reconfigure) goes down all.
+        next_hops = [share.next_hop for share in self.shares]
+        hops = [via] if via in next_hops else next_hops
         config = self.session.coding
         if self.coded:
             encoder = Encoder(
                 self.session.session_id, generation, field=config.galois_field, systematic=False, rng=self._rng
             )
-            # One extra packet of margin; repairs round-robin across links
-            # so repeated NACKs try different paths.  The whole burst is
-            # one batch matmul over the cached generation.
-            for packet in encoder.coded_packets(max(1, missing_dof) + 1):
-                share = self.shares[self._repair_rr % len(self.shares)]
-                self._repair_rr += 1
-                self._repair_queue.append((share.next_hop, packet))
+            # One extra packet of margin; each hop's burst is one batch
+            # matmul over the cached generation.
+            bursts = [encoder.coded_packets(max(1, missing_dof) + 1) for _ in hops]
         else:
-            # Uncoded repair: the named block must reach the NACKing
-            # receiver, and only some links lead there — send it down all
-            # of them (any coded packet would do from any link; this is
-            # precisely the flexibility Non-NC gives up).
-            indices = missing_indices or tuple(range(config.blocks_per_generation))
-            for index in indices:
-                packet = self._block_packet(generation, index)
-                for share in self.shares:
-                    self._repair_queue.append((share.next_hop, packet))
-        self._kick_repair_drain()
+            # Uncoded repair: only the named blocks will do (any coded
+            # packet would; this is the flexibility Non-NC gives up).
+            indices = missing_indices or range(config.blocks_per_generation)
+            bursts = [[self._block_packet(generation, index) for index in indices] for _ in hops]
+        for hop, burst in zip(hops, bursts):
+            if hop not in self._repair_queues:
+                self._repair_queues[hop] = deque()
+                self.node.scheduler.schedule(0.0, self._drain_one_repair, hop)
+            self._repair_queues[hop].extend(burst)
 
-    def _kick_repair_drain(self) -> None:
-        if self._repair_drain_running or not self._repair_queue:
+    def _drain_one_repair(self, next_hop: str) -> None:
+        queue = self._repair_queues[next_hop]
+        if not queue:
+            del self._repair_queues[next_hop]
             return
-        self._repair_drain_running = True
-        self.node.scheduler.schedule(0.0, self._drain_one_repair)
-
-    def _drain_one_repair(self) -> None:
-        if not self._repair_queue:
-            self._repair_drain_running = False
-            return
-        next_hop, packet = self._repair_queue.popleft()
         self.repair_packets += 1
-        self._send(next_hop, packet)
-        # Paced at the aggregate link rate; each repair also pushes the
-        # next data generation back by its wire time.
+        self._send(next_hop, queue.popleft())
+        # Each hop paced at its share of the aggregate link rate; each
+        # repair also pushes the next data generation back by its wire time.
         total_rate_bps = sum(s.rate_mbps for s in self.shares) * 1e6
         wire_s = (self._packet_payload_bytes + 28) * 8 / total_rate_bps
         self._repair_debt_s += wire_s
-        self.node.scheduler.schedule(wire_s * len(self.shares), self._drain_one_repair)
+        self.node.scheduler.schedule(wire_s * len(self.shares), self._drain_one_repair, next_hop)
 
     def _send(self, next_hop: str, packet: CodedPacket) -> None:
         self.sent_packets += 1
@@ -440,15 +432,9 @@ class NcReceiverApp:
         ack_interval_s: float = 0.03,
         stall_generations: int = 128,
         stall_timeout_s: float = 0.25,
-        nack_retry_s: float = 0.4,
-        nack_backoff: float = 2.0,
-        nack_retry_max_s: float = 3.2,
-        max_nacks_per_generation: int = 8,
         ack_immediately: bool = False,
         retain_decoded: bool = False,
     ):
-        if nack_backoff < 1.0:
-            raise ValueError("nack_backoff must be >= 1 (retry intervals cannot shrink)")
         self.node = node
         self.session = session
         self.payload_mode = payload_mode
@@ -457,10 +443,6 @@ class NcReceiverApp:
         self.ack_interval_s = ack_interval_s
         self.stall_generations = stall_generations
         self.stall_timeout_s = stall_timeout_s
-        self.nack_retry_s = nack_retry_s
-        self.nack_backoff = nack_backoff
-        self.nack_retry_max_s = nack_retry_max_s
-        self.max_nacks_per_generation = max_nacks_per_generation
         config = session.coding
         self._block_bytes = 4 if payload_mode == "coefficients-only" else config.block_bytes
         self._decoders: dict[int, Decoder] = {}
@@ -480,7 +462,10 @@ class NcReceiverApp:
         self.highest_seen = -1
         self._last_packet_at = -1e9
         self._cum_ack = -1
-        self._nack_state: dict[int, tuple] = {}  # gen -> (count, last_sent_at, rank_at_last)
+        # gen -> (count, retry clock start, rank_at_last, last NACK sent at)
+        self._nack_state: dict[int, tuple] = {}
+        self._srtt: float | None = None  # RFC 6298 over NACK → decode times
+        self._rttvar, self._rto_s = 0.0, INITIAL_RTO_S
         self._ack_timer_running = False
         node.listen(NC_PORT, self._on_packet)
         if ack_to is not None:
@@ -537,7 +522,11 @@ class NcReceiverApp:
                 # leave retention off to keep memory flat).
                 self.decoded_generations[gen_id] = decoder.decode()
             del self._decoders[gen_id]
-            self._nack_state.pop(gen_id, None)
+            nack_state = self._nack_state.pop(gen_id, None)
+            if nack_state is not None and nack_state[0] == 1:
+                # Karn's rule: a generation NACKed twice cannot say which
+                # NACK its repair answered, so only single-NACK ones sample.
+                self._sample_rtt(self.node.scheduler.now - nack_state[3])
             self._advance_cum_ack()
             if self.ack_immediately:
                 self._send_control(("cum_ack", self.session.session_id, self.node.name, self._cum_ack))
@@ -591,28 +580,36 @@ class NcReceiverApp:
             )
         return sorted(set(stalled))
 
+    def _sample_rtt(self, sample_s: float) -> None:
+        """RFC 6298 §2: α = 1/8, β = 1/4, the ACK tick as clock granularity."""
+        if self._srtt is None:
+            self._srtt, self._rttvar = sample_s, sample_s / 2
+        else:
+            self._rttvar += (abs(self._srtt - sample_s) - self._rttvar) / 4
+            self._srtt += (sample_s - self._srtt) / 8
+        self._rto_s = self._srtt + max(self.ack_interval_s, 4 * self._rttvar)
+
     def nack_retry_interval_s(self, retries_sent: int) -> float:
         """Wait before the NACK after ``retries_sent`` earlier ones.
 
-        Exponential backoff, capped: repeated losses of the same repair
-        (a loss burst, a link flap mid-recovery, a repair still in
-        flight) progressively widen the retry spacing instead of
-        flooding the reverse path, and ``max_nacks_per_generation``
-        bounds the total so a truly unservable generation ends as a
-        typed giveup rather than a NACK loop.
+        The measured RTO, doubled per retry and capped: repeated losses of
+        the same repair (a loss burst, a link flap mid-recovery, a repair
+        still in flight) widen the retry spacing instead of flooding the
+        reverse path, and ``MAX_NACKS_PER_GENERATION`` bounds the total so
+        an unservable generation ends as a typed giveup, not a NACK loop.
         """
-        return min(self.nack_retry_s * self.nack_backoff ** max(0, retries_sent - 1), self.nack_retry_max_s)
+        return min(self._rto_s * 2 ** max(0, retries_sent - 1), MAX_RTO_BACKOFF * self._rto_s)
 
     def nack_backoff_schedule(self) -> list:
         """The full retry-wait schedule, one entry per permitted NACK."""
-        return [self.nack_retry_interval_s(i) for i in range(1, self.max_nacks_per_generation + 1)]
+        return [self.nack_retry_interval_s(i) for i in range(1, MAX_NACKS_PER_GENERATION + 1)]
 
     def _send_nacks(self) -> None:
         now = self.node.scheduler.now
         k = self.session.coding.blocks_per_generation
         for gen_id in self._stalled_generations():
-            count, last, rank_at_last = self._nack_state.get(gen_id, (0, -1e9, -1))
-            if count >= self.max_nacks_per_generation:
+            count, last, rank_at_last, sent_at = self._nack_state.get(gen_id, (0, -1e9, -1, -1e9))
+            if count >= MAX_NACKS_PER_GENERATION:
                 continue
             if now - last < self.nack_retry_interval_s(count):
                 continue
@@ -627,7 +624,7 @@ class NcReceiverApp:
                 # (without spending the NACK budget) and only retry if
                 # progress stalls again at this rank.
                 self.nacks_suppressed += 1
-                self._nack_state[gen_id] = (count, now, rank)
+                self._nack_state[gen_id] = (count, now, rank, sent_at)
                 continue
             if decoder is not None:
                 missing_dof = decoder.block_count - decoder.rank
@@ -637,7 +634,7 @@ class NcReceiverApp:
                 missing_indices = tuple(range(k))
             self._send_control(("nack", self.session.session_id, gen_id, missing_dof, missing_indices))
             self.nacks_sent += 1
-            self._nack_state[gen_id] = (count + 1, now, rank)
+            self._nack_state[gen_id] = (count + 1, now, rank, now)
 
     def _send_control(self, message: tuple) -> None:
         if self.ack_to is None:
@@ -729,10 +726,9 @@ class RepairingControlRelay(ControlRelay):
     degrades to pure forwarding and the source repair takes over.
     """
 
-    def __init__(self, node: Node, next_hop: str, vnf, max_served_nacks_per_generation: int = 2):
+    def __init__(self, node: Node, next_hop: str, vnf):
         super().__init__(node, next_hop)
         self.vnf = vnf
-        self.max_served_nacks_per_generation = max_served_nacks_per_generation
         self.nacks_seen = 0
         self.local_repair_packets = 0
         self._served: dict[tuple, int] = {}  # (session, generation) -> NACKs served locally
@@ -747,7 +743,7 @@ class RepairingControlRelay(ControlRelay):
         _, session_id, generation_id, missing_dof, _ = message
         self.nacks_seen += 1
         key = (session_id, generation_id)
-        if self._served.get(key, 0) >= self.max_served_nacks_per_generation:
+        if self._served.get(key, 0) >= MAX_SERVED_NACKS_PER_GENERATION:
             return
         sent = self.vnf.emit_repair(session_id, generation_id, max(1, missing_dof))
         if sent:

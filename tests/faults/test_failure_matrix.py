@@ -302,6 +302,15 @@ class TestButterflyUnderFaults:
         assert statistics.median(latencies) < 0.8
         assert max(latencies) < 0.9
 
+    def test_recovered_session_never_freezes_behind_one_generation(self, v2_crashes):
+        """After the reroute the two branches are disjoint: a repair sent
+        down one never reaches the other receiver.  Each receiver's NACK
+        must be answered on its own hop, or the slower receiver's cum-ACK
+        sticks one generation short and the source's window shuts."""
+        for seed, r in v2_crashes.items():
+            lambda_mbps = r.recovery_plans[0].wiring.lambda_mbps
+            assert min(r.post_recovery_throughput_mbps.values()) >= 0.5 * lambda_mbps, seed
+
     @pytest.mark.parametrize("fail_node", ["T", "V2"])
     def test_core_relay_crashes_are_survivable(self, fail_node):
         r = run_butterfly_failover(fail_node=fail_node, duration_s=2.5)

@@ -16,6 +16,13 @@ them — detection time, dead nodes, recovery tables, controller
 transitions, retunes and applied faults.  Only public entry points and
 result attributes are read, so the file runs unedited on both sides of
 the change.
+
+Six digests were re-pinned once since, on purpose, when the ARQ layer's
+retry clock became a measured RTO and a repair began to follow its
+NACK's hop (DESIGN.md §9).  The other six kept theirs: five never NACK,
+and the GEO run's one next hop and NACK → decode times longer than the
+initial RTO (every repaired generation is NACKed twice, which Karn's
+rule does not sample) leave it on the old clock and the old route.
 """
 
 import pytest
@@ -151,10 +158,10 @@ BUTTERFLY_RUNS = {
 }
 
 BUTTERFLY_PINS = {
-    "nc-bench-clean": "786b6e6c0806452ebf14d6c142bd83780b12c9fc7cff174a214d7c9f008c9865",
-    "nc-bench-lossy": "dd86c4d768182ff7417390374eb344dbf51691357568b67be2a74fb276c1dabf",
+    "nc-bench-clean": "98e99adada8b719bdafe66d72b9f3ebc8877a5c2603740fa3c905cbc32d9ebda",
+    "nc-bench-lossy": "4adfbfd959ffc74a2e5ba11e73ebed6350f953f1c3d53c6bbfc7c90c59948d9f",
     "nc-k1-unwindowed": "a47bff1ebbc0ed7fa013517714da95dff2771947b3b3f75fd951f33d22cd1e4a",
-    "non-nc-flooding-window": "3f4239e6cc6b736f56e42c8ef7edd31526259e43d0970ea9b63c3fcfce9f0411",
+    "non-nc-flooding-window": "18096cf70f9e1ca2b91983cd9d7cfd69f309753573b0da74d0c899eaa6aff00d",
     "non-nc-striped": "b269c92b88470c84ee49719af3402eacab3024d0d8c1c35d696a1bcb20750577",
 }
 
@@ -202,8 +209,8 @@ FAILOVER_RUNS = {
 }
 
 FAILOVER_PINS = {
-    "v2-plain": "5c83568cd43ae8e4668630b27bbecac12680a29760c4a19ee72fb2c71eb5792a",
-    "o1-relay-repair": "ecf1acca6e7e8f2dbb8447188f1a7b1039f1c16cbd7e5ba1c3b531c31abeba3a",
+    "v2-plain": "d36f4ec36c4d976e213d8cd698bc0db4ebb47dd5af43b396c6d31f504f67f958",
+    "o1-relay-repair": "31e4182bd0014942a7f4c5da21361cbc05997a8b5eb2d4967a62a643322bb3f9",
 }
 
 
@@ -236,7 +243,7 @@ def _scenario(result):
 
 def test_scenario_iot_fixed():
     result = run_scenario(IOT_RELAY_CHAIN, "fixed", 0.15, duration_s=6.0, seed=3)
-    assert _scenario(result) == "9f6bd1cfe17dbae07ff4fd27d465e440df422fe9c074f08a8246b5c9e4bbbf06"
+    assert _scenario(result) == "a8128690bceb961d1a98e947453e67140d446d95c22a9ebe67c70cce3614dee7"
 
 
 def test_scenario_geo_adaptive_under_faults():

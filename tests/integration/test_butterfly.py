@@ -1,7 +1,5 @@
 """Integration tests on the butterfly testbed (the Fig. 6/7 setup)."""
 
-import statistics
-
 import pytest
 
 from repro.experiments.butterfly import (
@@ -71,13 +69,9 @@ class TestRobustness:
         # the CRC32 header word grew the packet from 1472 to 1476 bytes,
         # so the equivalent rate is 52.6 * 1500/1504 ~= 52.46 Mb/s.
         #
-        # One seed is one sample: whichever 1.5 s run the 512-generation
-        # ARQ window happens to stall in loses a few Mb/s (NC1 is ahead on
-        # 9 of 20 seeds before the random-stream migration, 13 of 20 after;
-        # ROADMAP's Fig. 8 item owns the stall).  The paper's order is
-        # asserted on the median over a fixed seed set, green on both
-        # sides of the migration (22.4 vs 24.5 before, 22.6 vs 24.5 after).
-        nc0_mbps, nc1_mbps = [], []
+        # The paper's order is asserted on every seed of a fixed set, not
+        # on one sample or a median: with the measured NACK retry clock and
+        # per-hop repair routing (DESIGN §9) it holds per seed.
         for seed in range(1, 9):
             nc0 = run_butterfly_nc(
                 duration_s=1.5,
@@ -94,14 +88,12 @@ class TestRobustness:
                 redundancy=RedundancyPolicy(1),
                 seed=seed,
             )
-            nc0_mbps.append(nc0.session_throughput_mbps)
-            nc1_mbps.append(nc1.session_throughput_mbps)
+            assert nc1.session_throughput_mbps > nc0.session_throughput_mbps, seed
             # The mechanism holds on every seed: one redundant packet per
             # generation saves more than 40 % of the NACK rounds.
             nc0_nacks = sum(app.nacks_sent for app in nc0.receivers.values()) / nc0.sent_generations
             nc1_nacks = sum(app.nacks_sent for app in nc1.receivers.values()) / nc1.sent_generations
-            assert nc1_nacks < 0.6 * nc0_nacks
-        assert statistics.median(nc1_mbps) > statistics.median(nc0_mbps)
+            assert nc1_nacks < 0.6 * nc0_nacks, seed
 
     def test_redundancy_wastes_bandwidth_when_clean(self):
         nc0 = run_butterfly_nc(duration_s=1.5, rate_mbps=66.0, window_generations=1024)
